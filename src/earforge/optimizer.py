@@ -1,23 +1,28 @@
 """Box-constrained minimization of the summed squared modal coordinates.
 
 The objective F(x) = sum_i L_i(x)^2 over the fitted quadratic surfaces L_i is
-a smooth quartic; it is minimized by polishing a dense grid of starts with
-projected gradient descent (closed-form gradient, Armijo backtracking). All
-starts are advanced in lockstep with vectorized array ops, and the reduction
-to a single winner is ordered, so results are deterministic.
+a smooth quartic. Each L_i is held in tensor form c + b.x + x.Q.x, so values
+and gradients come from a few einsums. F is scored on a dense grid once; only
+the grid's basins are polished with projected gradient descent (closed-form
+gradient, Armijo backtracking): its discrete local minima plus the few best
+grid points. The polished starts are advanced in lockstep with vectorized
+array ops, and the reduction to a single winner is ordered, so results are
+deterministic.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
-from .rsm import QuadraticModel, model_matrix, predict
+from .rsm import QuadraticModel, predict
 
 DEFAULT_GRID_PER_AXIS = 21
+_SEED_BEST = 8  # best grid points polished besides the grid's local minima
 _ARMIJO_C1 = 1e-4
 _STEP_TOL = 1e-16
 _GRAD_TOL = 1e-11
@@ -62,7 +67,7 @@ class ObjectiveSpec:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    starts: int
+    starts: int            # grid points polished: basins plus the best few
     iterations: int        # accepted descent steps summed over all starts
     gradient_norm: float   # projected gradient norm at the returned point
 
@@ -76,30 +81,40 @@ class Optimum:
     physical: np.ndarray | None = None  # physical coordinates when a space is given
 
 
-def _f_batch(coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-    l = model_matrix(points) @ coef
+def _tensor_form(spec: ObjectiveSpec):
+    """The models as L(x) = c + x @ b + x @ Q @ x, one column per model.
+
+    Returns c (m,), b (f, m) and a symmetric Q (f, f, m) whose off-diagonal
+    entries hold half the interaction coefficient.
+    """
+    coef = spec.coefficient_stack()
+    f = spec.n_factors
+    q = np.zeros((f, f, coef.shape[1]))
+    i, j = np.triu_indices(f, k=1)
+    q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
+    q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
+    return coef[0], coef[1:1 + f], q
+
+
+def _f_batch(tensors, points: np.ndarray) -> np.ndarray:
+    """F at each point, without building the per-point gradient tensor."""
+    c, b, q = tensors
+    n, f = points.shape
+    # the (n, f*f) outer products are freed before the linear term is added,
+    # which keeps the peak of a dense scan below that of a model matrix
+    q2 = q.reshape(f * f, -1)
+    l = (points[:, :, None] * points[:, None, :]).reshape(n, f * f) @ q2
+    l += points @ b
+    l += c
     return np.einsum("ij,ij->i", l, l)
 
 
-def _grad_batch(coef: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Gradient of F at each point: 2 * sum_i L_i * dL_i/dx."""
-    x = np.atleast_2d(points)
-    n, f = x.shape
-    l = model_matrix(x) @ coef  # (n, n_models)
-    grad = np.empty((n, f))
-    pairs = [(i, j) for i in range(f) for j in range(i + 1, f)]
-    for k in range(f):
-        dmm = np.zeros((n, coef.shape[0]))
-        dmm[:, 1 + k] = 1.0
-        for p, (i, j) in enumerate(pairs):
-            if i == k:
-                dmm[:, 1 + f + p] = x[:, j]
-            elif j == k:
-                dmm[:, 1 + f + p] = x[:, i]
-        dmm[:, 1 + f + len(pairs) + k] = 2.0 * x[:, k]
-        dl = dmm @ coef
-        grad[:, k] = 2.0 * np.einsum("ij,ij->i", l, dl)
-    return grad
+def _grad_batch(tensors, points: np.ndarray) -> np.ndarray:
+    """Gradient of F at each point: 2 * sum_i L_i * (b_i + 2 Q_i x)."""
+    c, b, q = tensors
+    qx = np.einsum("ijm,nj->nim", q, points)
+    l = c + np.einsum("ni,nim->nm", points, b + qx)
+    return 2.0 * np.einsum("nm,nim->ni", l, b + 2.0 * qx)
 
 
 def objective_f(spec: ObjectiveSpec, point) -> float:
@@ -108,7 +123,7 @@ def objective_f(spec: ObjectiveSpec, point) -> float:
     if point.ndim != 1 or point.size != spec.n_factors:
         raise ValidationError(
             f"point length {point.size} != factor count {spec.n_factors}")
-    return float(_f_batch(spec.coefficient_stack(), point[None, :])[0])
+    return float(_f_batch(_tensor_form(spec), point[None, :])[0])
 
 
 def objective_gradient(spec: ObjectiveSpec, point) -> np.ndarray:
@@ -117,7 +132,7 @@ def objective_gradient(spec: ObjectiveSpec, point) -> np.ndarray:
     if point.ndim != 1 or point.size != spec.n_factors:
         raise ValidationError(
             f"point length {point.size} != factor count {spec.n_factors}")
-    return _grad_batch(spec.coefficient_stack(), point[None, :])[0]
+    return _grad_batch(_tensor_form(spec), point[None, :])[0]
 
 
 def _grid_points(bounds: np.ndarray, per_axis: int) -> np.ndarray:
@@ -126,26 +141,49 @@ def _grid_points(bounds: np.ndarray, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
+def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarray:
+    """Grid indices, in C order, worth polishing.
+
+    These are the discrete local minima (F <= all 3**n_factors - 1 neighbours,
+    the box edges padded with +inf, so every plateau point counts) together
+    with the _SEED_BEST best grid points.
+    """
+    cube = f_grid.reshape((per_axis,) * n_factors)
+    padded = np.pad(cube, 1, constant_values=np.inf)
+    keep = np.ones(cube.shape, dtype=bool)
+    for offset in itertools.product((-1, 0, 1), repeat=n_factors):
+        if any(offset):
+            keep &= cube <= padded[tuple(slice(1 + o, 1 + o + per_axis)
+                                         for o in offset)]
+    keep = keep.ravel()
+    keep[np.argsort(f_grid, kind="stable")[:_SEED_BEST]] = True
+    return np.flatnonzero(keep)
+
+
 def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
              grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
              max_iterations: int = 500) -> Optimum:
     """Multi-start projected gradient descent over the box.
 
-    Seeds a uniform grid (grid_per_axis points per factor), polishes every
-    seed with backtracking gradient descent projected onto the box, and
-    returns the best polished point. Exactly tied objective values are broken
-    toward the lexicographically smallest coordinates.
+    Scores F on a uniform grid (grid_per_axis points per factor), polishes
+    the grid's discrete local minima and its few best points with
+    backtracking gradient descent projected onto the box, and returns the
+    best polished point. Exactly tied objective values are broken toward the
+    lexicographically smallest coordinates.
     """
     if grid_per_axis < 2:
         raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-    coef = spec.coefficient_stack()
+    tensors = _tensor_form(spec)
     lo = spec.bounds[:, 0]
     hi = spec.bounds[:, 1]
-    x = _grid_points(spec.bounds, grid_per_axis)
-    f_cur = _f_batch(coef, x)
-    if not np.all(np.isfinite(f_cur)):
-        bad = x[int(np.flatnonzero(~np.isfinite(f_cur))[0])]
+    grid = _grid_points(spec.bounds, grid_per_axis)
+    f_grid = _f_batch(tensors, grid)
+    if not np.all(np.isfinite(f_grid)):
+        bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
+    seeds = _basin_seeds(f_grid, grid_per_axis, spec.n_factors)
+    x = grid[seeds]
+    f_cur = f_grid[seeds]
     n_starts = x.shape[0]
     alive = np.ones(n_starts, dtype=bool)
     step = np.ones(n_starts)
@@ -157,7 +195,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
         if idx.size == 0:
             break
         xa = x[idx]
-        g = _grad_batch(coef, xa)
+        g = _grad_batch(tensors, xa)
         pg = xa - np.clip(xa - g, lo, hi)
         done = np.sqrt(np.einsum("ij,ij->i", pg, pg)) <= _GRAD_TOL
         if done.any():
@@ -184,7 +222,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
         searching = np.ones(idx.size, dtype=bool)
         while searching.any():
             cand = np.clip(xa - t[:, None] * g, lo, hi)
-            fc = _f_batch(coef, cand)
+            fc = _f_batch(tensors, cand)
             if not np.all(np.isfinite(fc[searching])):
                 bad = cand[searching][int(np.flatnonzero(
                     ~np.isfinite(fc[searching]))[0])]
@@ -213,7 +251,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
     order = np.lexsort(tuple(x[tie, k] for k in reversed(range(x.shape[1]))))
     winner = tie[order[0]]
     point = x[winner].copy()
-    g_win = _grad_batch(coef, point[None, :])[0]
+    g_win = _grad_batch(tensors, point[None, :])[0]
     pg_win = point - np.clip(point - g_win, lo, hi)
     report = ConvergenceReport(
         starts=n_starts,
@@ -235,6 +273,6 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
     pts = _grid_points(spec.bounds, resolution)
-    f = _f_batch(spec.coefficient_stack(), pts)
+    f = _f_batch(_tensor_form(spec), pts)
     i = int(np.argmin(f))
     return pts[i].copy(), float(f[i])

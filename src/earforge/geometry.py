@@ -186,29 +186,85 @@ def deviation_vector(profile: ContourProfile, target_height: float,
     return values - target_height
 
 
+#: Header of a polar rim file: samples of height against angle.
+POLAR_HEADER = ("theta_rad", "value_mm")
+#: Header of a rim point cloud: x, y about any centre, z is the height.
+CLOUD_HEADER = ("x_mm", "y_mm", "z_mm")
+
+# numpy's C text reader; quoted cells are unquoted, `#` is no comment.
+_LOADTXT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
+
+
 def write_contour_csv(path, theta: np.ndarray, values: np.ndarray) -> None:
-    """Write a contour/profile as CSV: header `theta_rad,value_mm`, LF endings."""
+    """Write a contour/profile as CSV: header `theta_rad,value_mm`, LF endings.
+
+    Each value is written as its shortest round-tripping repr, so the file
+    reads back bit for bit.
+    """
+    theta = np.asarray(theta, dtype=float).tolist()
+    values = np.asarray(values, dtype=float).tolist()
+    body = "".join(f"{t!r},{v!r}\n" for t, v in zip(theta, values))
+    Path(path).write_text(",".join(POLAR_HEADER) + "\n" + body,
+                          encoding="utf-8", newline="\n")
+
+
+def _first_bad_line(lines: list[str], n_fields: int) -> str:
+    """Locate the first body line that is not n_fields finite numbers.
+
+    `lines` follow the header, so lines[i] is line i + 2 of the file. Blank
+    lines are skipped, as the bulk parse skips them.
+    """
+    for i, line in enumerate(lines):
+        if not line.strip("\r\n"):
+            continue
+        text = line.rstrip("\r\n")
+        try:
+            row = np.loadtxt([line], **_LOADTXT)
+        except ValueError:
+            return f"line {i + 2}: cannot read {text!r} as numbers"
+        if row.shape[1] != n_fields:
+            return (f"line {i + 2}: expected {n_fields} fields, got "
+                    f"{row.shape[1]} in {text!r}")
+        if not np.all(np.isfinite(row)):
+            return f"line {i + 2}: non-finite value in {text!r}"
+    return "malformed rows"
+
+
+def read_rim_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a rim file: its header and an (n, k) array of its rows.
+
+    The header must be POLAR_HEADER or CLOUD_HEADER; k is its field count.
+    Every other non-blank line must hold k finite numbers, optionally
+    double-quoted. Blank lines are skipped; LF, CRLF and CR endings are
+    accepted. Anything else raises ValidationError naming the file line.
+    """
     path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta_rad", "value_mm"])
-        for t, v in zip(theta, values):
-            writer.writerow([repr(float(t)), repr(float(v))])
+    with path.open("r", newline="", encoding="utf-8") as fh:
+        header = tuple(c.strip() for c in
+                       next(csv.reader([fh.readline()]), []))
+        if header not in (POLAR_HEADER, CLOUD_HEADER):
+            raise ValidationError(
+                f"{path}: unknown header {list(header)}; expected "
+                f"'{','.join(POLAR_HEADER)}' or '{','.join(CLOUD_HEADER)}'")
+        lines = fh.readlines()
+    n_fields = len(header)
+    if not any(line.strip("\r\n") for line in lines):
+        # header only: loadtxt would warn that the input holds no data
+        return header, np.empty((0, n_fields))
+    try:
+        rows = np.loadtxt(lines, **_LOADTXT)
+    except ValueError:
+        rows = None
+    if rows is None or rows.shape[1] != n_fields or not np.all(np.isfinite(rows)):
+        raise ValidationError(f"{path}: {_first_bad_line(lines, n_fields)}")
+    return header, rows
 
 
 def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a `theta_rad,value_mm` CSV back into (theta, values) arrays."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["theta_rad", "value_mm"]:
-            raise ValidationError(
-                f"{path}: expected header 'theta_rad,value_mm', got {header}")
-        rows = [row for row in reader if row]
-    try:
-        theta = np.array([float(r[0]) for r in rows])
-        values = np.array([float(r[1]) for r in rows])
-    except (ValueError, IndexError) as exc:
-        raise ValidationError(f"{path}: malformed contour CSV row: {exc}") from exc
-    return theta, values
+    header, rows = read_rim_csv(path)
+    if header != POLAR_HEADER:
+        raise ValidationError(
+            f"{path}: expected header '{','.join(POLAR_HEADER)}', "
+            f"got {list(header)}")
+    return rows[:, 0], rows[:, 1]

@@ -9,6 +9,7 @@ four-lobe, ... defects of the full rim.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -78,7 +79,15 @@ def build_modal_basis(n_nodes: int = DEFAULT_N_NODES,
     infinity-norm with the sign fixed so the first non-zero entry is positive.
     The mass matrix is diagonal, so the problem reduces to a standard
     symmetric one through M^(-1/2) scaling.
+
+    The basis is solved once per (n_nodes, n_modes) and shared: every call
+    with the same sizes returns the same object, whose arrays are read-only.
     """
+    return _solved_basis(n_nodes, n_modes)
+
+
+@functools.lru_cache(maxsize=64)
+def _solved_basis(n_nodes: int, n_modes: int) -> ModalBasis:
     if n_modes < 2 or n_modes > n_nodes:
         raise ValidationError(
             f"need 2 <= n_modes <= n_nodes, got n_modes={n_modes}, n_nodes={n_nodes}")
@@ -102,6 +111,8 @@ def build_modal_basis(n_nodes: int = DEFAULT_N_NODES,
         if lead < 0:
             modes[:, i] = -col
     pulsations = np.sqrt(np.clip(eigvals[:n_modes], 0.0, None))
+    for a in (modes, pulsations, m):
+        a.setflags(write=False)
     return ModalBasis(modes=modes, pulsations=pulsations, mass=m)
 
 

@@ -8,7 +8,6 @@ blank on the default steel reproduces the measured initial earing.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,24 +108,6 @@ def simulate(blank: BlankSpec, material: MaterialAnisotropy,
     return ContourProfile(theta, height)
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[list[float]]]:
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{path}: empty file")
-        header = [c.strip() for c in header]
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValidationError(f"{path}: malformed row {row}: {exc}") from exc
-    return header, rows
-
-
 def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourProfile:
     """Load an external rim measurement or simulation export as a profile.
 
@@ -141,27 +122,18 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
     uniform n_points grid by periodic linear interpolation.
     """
     path = Path(path)
-    header, rows = _read_rows(path)
-    if header == ["theta_rad", "value_mm"]:
-        if len(rows) < 8:
-            raise InsufficientDataError(
-                f"{path}: need at least 8 samples, got {len(rows)}")
-        theta = np.array([r[0] for r in rows])
-        height = np.array([r[1] for r in rows])
-    elif header == ["x_mm", "y_mm", "z_mm"]:
-        if len(rows) < 8:
-            raise InsufficientDataError(
-                f"{path}: need at least 8 points, got {len(rows)}")
-        xyz = np.array(rows)
-        if xyz.shape[1] != 3:
-            raise ValidationError(f"{path}: point rows must have 3 columns")
-        cx, cy = xyz[:, 0].mean(), xyz[:, 1].mean()
-        theta = np.arctan2(xyz[:, 1] - cy, xyz[:, 0] - cx) % (2.0 * np.pi)
-        height = xyz[:, 2]
+    header, rows = geometry.read_rim_csv(path)
+    polar = header == geometry.POLAR_HEADER
+    if len(rows) < 8:
+        raise InsufficientDataError(
+            f"{path}: need at least 8 {'samples' if polar else 'points'}, "
+            f"got {len(rows)}")
+    if polar:
+        theta, height = rows[:, 0], rows[:, 1]
     else:
-        raise ValidationError(
-            f"{path}: unknown header {header}; expected 'theta_rad,value_mm' "
-            f"or 'x_mm,y_mm,z_mm'")
+        cx, cy = rows[:, 0].mean(), rows[:, 1].mean()
+        theta = np.arctan2(rows[:, 1] - cy, rows[:, 0] - cx) % (2.0 * np.pi)
+        height = rows[:, 2]
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
     height = height[order]

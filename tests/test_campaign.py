@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 
 import numpy as np
@@ -230,6 +231,70 @@ class TestIngestFlow:
         empty.mkdir()
         assert cli_main(["--campaign", str(d), "simulate",
                          "--ingest-dir", str(empty)]) == 2
+
+
+def flat_rim(cloud=False):
+    """Lines of a flat 16-sample rim at 35 mm, without the header."""
+    theta = uniform_theta(16).tolist()
+    if cloud:
+        return [f"{30 * math.cos(t)!r},{30 * math.sin(t)!r},35.0" for t in theta]
+    return [f"{t!r},35.0" for t in theta]
+
+
+def bad_rim(case):
+    """(file text, 1-based line of the fault, what the error says)."""
+    polar = ["theta_rad,value_mm"] + flat_rim()
+    cloud = ["x_mm,y_mm,z_mm"] + flat_rim(cloud=True)
+    if case == "cloud_row_of_2":
+        cloud[6] = "1.0,2.0"
+        lines, line, what = cloud, 7, "expected 3 fields, got 2"
+    elif case == "polar_row_of_1":
+        polar[4] = "0.9"
+        lines, line, what = polar, 5, "expected 2 fields, got 1"
+    elif case == "polar_rows_of_3":
+        polar[1:] = [row + ",7.5" for row in polar[1:]]
+        lines, line, what = polar, 2, "expected 2 fields, got 3"
+    elif case == "nan_angle":
+        lines, line, what = polar + ["nan,35"], 18, "non-finite"
+    else:  # "inf_height"
+        polar[9] = "1.2,inf"
+        lines, line, what = polar, 10, "non-finite"
+    return "\n".join(lines) + "\n", line, what
+
+
+BAD_RIMS = ["cloud_row_of_2", "polar_row_of_1", "polar_rows_of_3",
+            "nan_angle", "inf_height"]
+
+
+class TestBadRimFiles:
+    def test_well_formed_fixtures(self, tmp_path):
+        for lines in (["theta_rad,value_mm"] + flat_rim(),
+                      ["x_mm,y_mm,z_mm"] + flat_rim(cloud=True)):
+            path = tmp_path / "ok.csv"
+            path.write_text("\n".join(lines) + "\n")
+            assert cli_main(["decompose", str(path), "--target", "35"]) == 0
+
+    @pytest.mark.parametrize("case", BAD_RIMS)
+    def test_decompose_exits_2_naming_the_line(self, tmp_path, capsys, case):
+        text, line, what = bad_rim(case)
+        path = tmp_path / "rim.csv"
+        path.write_text(text)
+        assert cli_main(["decompose", str(path)]) == 2
+        assert f"rim.csv: line {line}: {what}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", BAD_RIMS)
+    def test_ingest_exits_2_naming_the_line(self, tmp_path, capsys, case):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init", "design")
+        external = tmp_path / "external"
+        external.mkdir()
+        text, line, what = bad_rim(case)
+        (external / "run_01.csv").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), "simulate",
+                         "--ingest-dir", str(external)]) == 2
+        assert f"run_01.csv: line {line}: {what}" in capsys.readouterr().err
+        assert cp.load_state(d).stage == "designed"
 
 
 class TestVerificationEdgeCases:

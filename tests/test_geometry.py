@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from earforge.geometry import (BlankSpec, ClosedContour, ContourProfile,
                                CupSpec, blank_contour, deviation_vector,
                                ear_amplitude, initial_blank_diameter,
                                quarter_nodes, read_contour_csv,
-                               uniform_theta, write_contour_csv)
+                               read_rim_csv, uniform_theta, write_contour_csv)
 
 
 def cosine_profile(n=144, mean=35.0, amplitudes=()):
@@ -190,6 +191,45 @@ class TestContourTypes:
             ContourProfile(theta, np.ones(8))
 
 
+def csv_writer_reference(path, theta, values):
+    """The csv.writer codec write_contour_csv must match byte for byte."""
+    with open(path, "w", newline="\n", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["theta_rad", "value_mm"])
+        for t, v in zip(theta, values):
+            writer.writerow([repr(float(t)), repr(float(v))])
+
+
+def float_reader_reference(path):
+    """Per-cell float() over csv.reader, blank rows skipped: the reference
+    read_rim_csv must match bit for bit on well-formed files."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = tuple(c.strip() for c in next(reader))
+        rows = [[float(v) for v in row] for row in reader if row]
+    return header, np.array(rows)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+def rim_text(header, rows, newline="\n", blank_every=0, quote_every=0):
+    """CSV text of rows under header, with optional blank lines and
+    double-quoted cells."""
+    lines = [",".join(header)]
+    for i, row in enumerate(rows, start=1):
+        cells = [repr(v) for v in row]
+        if quote_every and i % quote_every == 0:
+            cells[-1] = f'"{cells[-1]}"'
+        lines.append(",".join(cells))
+        if blank_every and i % blank_every == 0:
+            lines.append("")
+    return newline.join(lines) + newline
+
+
 class TestContourCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         profile = cosine_profile(amplitudes=[(2, 0.3), (4, 0.86)])
@@ -211,3 +251,76 @@ class TestContourCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"theta_rad,value_mm\n")
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bytes_match_csv_writer_on_seeded_profiles(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = 4 * int(rng.integers(2, 600))
+        theta = uniform_theta(n)
+        values = 35.0 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 2, n)
+        write_contour_csv(tmp_path / "new.csv", theta, values)
+        csv_writer_reference(tmp_path / "ref.csv", theta, values)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_bytes_match_csv_writer_on_edge_values(self, tmp_path):
+        edge = np.array([-0.0, 5e-324, 1e308, 1 / 3, -1e308, 0.0, 1e-7, 1e16])
+        write_contour_csv(tmp_path / "new.csv", edge[::-1], edge)
+        csv_writer_reference(tmp_path / "ref.csv", edge[::-1], edge)
+        raw = (tmp_path / "new.csv").read_bytes()
+        assert raw == (tmp_path / "ref.csv").read_bytes()
+        assert raw.startswith(b"theta_rad,value_mm\n1e+16,-0.0\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("blank_every,quote_every", [(0, 0), (7, 0), (0, 5),
+                                                         (3, 4)])
+    @pytest.mark.parametrize("header", [("theta_rad", "value_mm"),
+                                        ("x_mm", "y_mm", "z_mm")])
+    def test_reader_matches_float_reference(self, tmp_path, header, newline,
+                                            blank_every, quote_every):
+        rng = np.random.default_rng(len(header) + blank_every + quote_every)
+        rows = rng.normal(0.0, 40.0, (333, len(header))).tolist()
+        rows[0][-1], rows[1][-1], rows[2][-1] = -0.0, 5e-324, 1 / 3
+        path = tmp_path / "rim.csv"
+        path.write_bytes(rim_text(header, rows, newline, blank_every,
+                                  quote_every).encode("utf-8"))
+        got_header, got = read_rim_csv(path)
+        ref_header, ref = float_reader_reference(path)
+        assert got_header == ref_header == header
+        assert same_bits(got, ref)
+        assert same_bits(got, rows)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "rim.csv"
+        path.write_text("theta_rad,value_mm\n\n")
+        theta, values = read_contour_csv(path)
+        assert theta.shape == values.shape == (0,)
+
+    def test_point_cloud_is_not_a_contour(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x_mm,y_mm,z_mm\n1,2,3\n")
+        with pytest.raises(ValidationError, match="theta_rad,value_mm"):
+            read_contour_csv(path)
+
+    @pytest.mark.parametrize("header,body,line,what", [
+        ("x_mm,y_mm,z_mm", "1,2,3\n4,5\n", 3, "expected 3 fields, got 2"),
+        ("x_mm,y_mm,z_mm", "1,2\n4,5\n", 2, "expected 3 fields, got 2"),
+        ("theta_rad,value_mm", "0,35\n\n0.5\n", 4, "expected 2 fields, got 1"),
+        ("theta_rad,value_mm", "0,35,1\n0.5,35,1\n", 2,
+         "expected 2 fields, got 3"),
+        ("theta_rad,value_mm", "0,35\r\n0.5,35,1\r\n", 3,
+         "expected 2 fields, got 3"),
+        ("theta_rad,value_mm", "0,35\n0.5,abc\n", 3, "cannot read"),
+        ("theta_rad,value_mm", "0,35\n  \n", 3, "cannot read"),
+        ("theta_rad,value_mm", "0,35\nnan,35\n", 3, "non-finite"),
+        ("theta_rad,value_mm", "\n\n0,inf\n", 4, "non-finite"),
+        ("theta_rad,value_mm", '0,35\n1,"-inf"\n', 3, "non-finite"),
+        ("x_mm,y_mm,z_mm", "1,2,3\n1,2,1e400\n", 3, "non-finite"),
+    ])
+    def test_bad_rows_name_the_file_line(self, tmp_path, header, body, line,
+                                         what):
+        path = tmp_path / "rim.csv"
+        path.write_bytes(f"{header}\n{body}".encode("utf-8"))
+        with pytest.raises(ValidationError) as err:
+            read_rim_csv(path)
+        assert f"rim.csv: line {line}: {what}" in str(err.value)

@@ -50,6 +50,22 @@ class TestBasisConstruction:
         for k in range(1, 5):
             assert np.max(np.abs(basis.modes[:, k - 1] - analytic_mode(k, 20))) <= 0.02
 
+    def test_basis_is_solved_once_per_size(self, basis36):
+        assert build_modal_basis() is basis36
+        assert build_modal_basis(n_nodes=36, n_modes=5) is basis36
+        assert build_modal_basis(36, n_modes=5) is basis36
+        assert build_modal_basis(20, 4) is build_modal_basis(n_modes=4,
+                                                             n_nodes=20)
+        assert build_modal_basis(36, 4) is not basis36
+
+    def test_shared_basis_is_read_only(self, basis36):
+        for array in (basis36.modes, basis36.pulsations, basis36.mass):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        with pytest.raises(ValueError):
+            basis36.modes[:, 1] *= 2.0
+        assert np.allclose(basis36.modes[:, 0], 1.0, rtol=0, atol=1e-12)
+
     def test_mode_count_validation(self):
         with pytest.raises(ValidationError):
             build_modal_basis(36, 1)

@@ -97,6 +97,15 @@ class TestIngestProfile:
         with pytest.raises(InsufficientDataError):
             ingest_profile(path)
 
+    @pytest.mark.parametrize("text", ["theta_rad,value_mm\n",
+                                      "x_mm,y_mm,z_mm\r\n\r\n"])
+    def test_header_only_file(self, tmp_path, text):
+        # loadtxt would warn "input contained no data"; warnings are errors
+        path = tmp_path / "empty.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(InsufficientDataError, match="got 0"):
+            ingest_profile(path)
+
     def test_duplicate_angles_are_ambiguous(self, tmp_path):
         theta = uniform_theta(16).tolist()
         theta[5] = theta[4]

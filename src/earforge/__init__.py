@@ -16,13 +16,11 @@ from .geometry import (BlankSpec, ClosedContour, ContourProfile, CupSpec,
                        blank_contour, deviation_vector, ear_amplitude,
                        initial_blank_diameter)
 from .modal import (ModalBasis, ModalCoordinates, analytic_mode,
-                    build_modal_basis, project, reconstruct)
-from .optimizer import (ObjectiveSpec, Optimum, grid_oracle, minimize,
-                        objective_f, objective_gradient)
+                    build_modal_basis, decompose, project, reconstruct)
+from .optimizer import ObjectiveSpec, Optimum, grid_oracle, minimize
 from .plant import (DC05, MaterialAnisotropy, SurrogateParams, ingest_profile,
                     run_design, simulate)
-from .rsm import (QuadraticModel, ResponseTable, fit_quadratic, predict,
-                  rank_influence)
+from .rsm import QuadraticModel, ResponseTable, fit_quadratic
 
 __version__ = "0.1.0"
 
@@ -31,13 +29,11 @@ __all__ = [
     "blank_contour", "initial_blank_diameter", "ear_amplitude",
     "deviation_vector",
     "ModalBasis", "ModalCoordinates", "build_modal_basis", "analytic_mode",
-    "project", "reconstruct",
+    "project", "decompose", "reconstruct",
     "Factor", "FactorSpace", "DesignMatrix", "ccd_design",
     "default_factor_space", "to_physical", "to_normalized",
-    "QuadraticModel", "ResponseTable", "fit_quadratic", "predict",
-    "rank_influence",
-    "ObjectiveSpec", "Optimum", "objective_f", "objective_gradient",
-    "minimize", "grid_oracle",
+    "QuadraticModel", "ResponseTable", "fit_quadratic",
+    "ObjectiveSpec", "Optimum", "minimize", "grid_oracle",
     "MaterialAnisotropy", "SurrogateParams", "DC05", "simulate",
     "ingest_profile", "run_design",
     "EarforgeError", "ValidationError", "NumericError", "InvalidBlankError",

@@ -18,10 +18,11 @@ run once per campaign directory.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import geometry, modal, plant, report
 from .doe import (DesignMatrix, Factor, FactorSpace, ROLE_CENTER, ccd_design,
-                  to_physical, write_design_csv)
+                  default_factor_space, to_physical, write_design_csv)
 from .errors import (CampaignLockedError, FreshStateError, LifecycleError,
                      MigrationNeededError, StateIntegrityError,
                      ValidationError)
@@ -66,52 +67,9 @@ class CampaignConfig:
     n_modes: int = 5
     n_points: int = geometry.DEFAULT_N_POINTS
 
-    def to_dict(self) -> dict:
-        return {
-            "factors": [
-                {"name": f.name, "center": f.center, "half_range": f.half_range}
-                for f in self.space.factors
-            ],
-            "alpha": self.space.alpha,
-            "target_height": self.target_height,
-            "cup": {"diameter": self.cup.diameter, "height": self.cup.height},
-            "material": {"r0": self.material.r0, "r45": self.material.r45,
-                         "r90": self.material.r90},
-            "surrogate": {
-                "ref_diameter": self.surrogate.ref_diameter,
-                "base_height": self.surrogate.base_height,
-                "k_d": self.surrogate.k_d,
-                "k_q": self.surrogate.k_q,
-                "g2": self.surrogate.g2,
-                "g4": self.surrogate.g4,
-                "c_ear": self.surrogate.c_ear,
-                "kappa4_6": self.surrogate.kappa4_6,
-                "c8": self.surrogate.c8,
-            },
-            "n_modes": self.n_modes,
-            "n_points": self.n_points,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CampaignConfig":
-        return cls(
-            space=FactorSpace(
-                factors=tuple(Factor(f["name"], f["center"], f["half_range"])
-                              for f in d["factors"]),
-                alpha=d["alpha"],
-            ),
-            target_height=d["target_height"],
-            cup=CupSpec(d["cup"]["diameter"], d["cup"]["height"]),
-            material=MaterialAnisotropy(**d["material"]),
-            surrogate=SurrogateParams(**d["surrogate"]),
-            n_modes=d["n_modes"],
-            n_points=d["n_points"],
-        )
-
 
 def default_config() -> CampaignConfig:
     """Default campaign: blank factor ranges, 35 mm target, DC05 sheet."""
-    from .doe import default_factor_space
     return CampaignConfig(space=default_factor_space())
 
 
@@ -129,23 +87,6 @@ class RunRecord:
     lambdas: tuple
     residue: float
 
-    def to_dict(self) -> dict:
-        return {
-            "run": self.run, "role": self.role,
-            "normalized": list(self.normalized), "blank": list(self.blank),
-            "profile_file": self.profile_file, "sha256": self.sha256,
-            "provenance": self.provenance, "lambdas": list(self.lambdas),
-            "residue": self.residue,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(run=d["run"], role=d["role"],
-                   normalized=tuple(d["normalized"]), blank=tuple(d["blank"]),
-                   profile_file=d["profile_file"], sha256=d["sha256"],
-                   provenance=d["provenance"], lambdas=tuple(d["lambdas"]),
-                   residue=d["residue"])
-
 
 @dataclass
 class VerificationRecord:
@@ -162,37 +103,6 @@ class VerificationRecord:
     baseline_sha256: str
     optimum_file: str
     optimum_sha256: str
-
-    def to_dict(self) -> dict:
-        return {
-            "optimum_lambdas": list(self.optimum_lambdas),
-            "optimum_residue": self.optimum_residue,
-            "optimum_amplitude": self.optimum_amplitude,
-            "baseline_lambdas": list(self.baseline_lambdas),
-            "baseline_amplitude": self.baseline_amplitude,
-            "reduction_factor": self.reduction_factor,
-            "status": self.status,
-            "baseline_file": self.baseline_file,
-            "baseline_sha256": self.baseline_sha256,
-            "optimum_file": self.optimum_file,
-            "optimum_sha256": self.optimum_sha256,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationRecord":
-        return cls(
-            optimum_lambdas=tuple(d["optimum_lambdas"]),
-            optimum_residue=d["optimum_residue"],
-            optimum_amplitude=d["optimum_amplitude"],
-            baseline_lambdas=tuple(d["baseline_lambdas"]),
-            baseline_amplitude=d["baseline_amplitude"],
-            reduction_factor=d["reduction_factor"],
-            status=d["status"],
-            baseline_file=d["baseline_file"],
-            baseline_sha256=d["baseline_sha256"],
-            optimum_file=d["optimum_file"],
-            optimum_sha256=d["optimum_sha256"],
-        )
 
 
 @dataclass
@@ -236,8 +146,27 @@ def _now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _complete(state: CampaignState, campaign_dir, stage: str) -> CampaignState:
+    """Stamp the stage just done and save the state: the stage's commit point."""
+    state.timestamps[stage] = _now()
+    save_state(state, campaign_dir)
+    return state
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_json(path: Path, payload) -> None:
+    """Deterministic JSON: sorted keys, two-space indent, LF line ends."""
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8", newline="\n")
+
+
+def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str:
+    """Write a rim profile into the campaign; returns the file's sha256."""
+    geometry.write_contour_csv(campaign_dir / rel, profile.theta, profile.height)
+    return _sha256(campaign_dir / rel)
 
 
 @contextlib.contextmanager
@@ -264,63 +193,87 @@ def campaign_lock(campaign_dir):
 # ---------------------------------------------------------------------------
 # serialization
 
+_SCALARS = (str, int, float, type(None))
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _fields_dict(obj) -> dict:
+    """A dataclass's fields, by name, as JSON-ready values.
+
+    Nested dataclasses and tuples of them become dicts and lists of dicts,
+    other tuples and arrays become lists, anything else is kept as is. Only
+    those containers are walked, never the numbers inside them.
+    """
+    out = {}
+    for name in _field_names(type(obj)):
+        v = getattr(obj, name)
+        if isinstance(v, _SCALARS):
+            pass
+        elif isinstance(v, tuple):
+            v = [_fields_dict(x) for x in v] if v and is_dataclass(v[0]) else list(v)
+        elif isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif is_dataclass(v):
+            v = _fields_dict(v)
+        out[name] = v
+    return out
+
+
+def _from_fields(cls, d: dict):
+    """Inverse of _fields_dict for a record: each field read by name (a
+    missing one is a KeyError, never a silent default), lists as tuples."""
+    values = (d[name] for name in _field_names(cls))
+    return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+
+
+def _config_to_dict(config: CampaignConfig) -> dict:
+    d = _fields_dict(config)
+    d.update(d.pop("space"))  # schema 1 keeps factors and alpha at top level
+    return d
+
+
+def _config_from_dict(d: dict) -> CampaignConfig:
+    factors = tuple(_from_fields(Factor, f) for f in d["factors"])
+    return _from_fields(CampaignConfig, {
+        **d, "space": FactorSpace(factors=factors, alpha=d["alpha"]),
+        "cup": _from_fields(CupSpec, d["cup"]),
+        "material": _from_fields(MaterialAnisotropy, d["material"]),
+        "surrogate": _from_fields(SurrogateParams, d["surrogate"])})
+
+
 def _optimum_to_dict(opt: Optimum, space: FactorSpace) -> dict:
-    physical = opt.physical
-    if physical is None:
-        physical = to_physical(space, opt.point)
-    return {
-        "point": [float(v) for v in opt.point],
-        "physical": {name: float(v) for name, v in zip(space.names, physical)},
-        "f_value": float(opt.f_value),
-        "predicted": {f"L{i+1}": float(v) for i, v in enumerate(opt.predicted)},
-        "report": {
-            "starts": opt.report.starts,
-            "iterations": opt.report.iterations,
-            "gradient_norm": opt.report.gradient_norm,
-        },
-    }
+    d = _fields_dict(opt)
+    d["physical"] = dict(zip(space.names, d["physical"]))
+    d["predicted"] = {f"L{i}": v for i, v in enumerate(d["predicted"], 1)}
+    return d
 
 
 def _optimum_from_dict(d: dict, space: FactorSpace) -> Optimum:
-    point = np.array(d["point"])
-    return Optimum(
-        point=point,
-        f_value=d["f_value"],
-        predicted=np.array([d["predicted"][k]
-                            for k in sorted(d["predicted"],
-                                            key=lambda s: int(s[1:]))]),
-        report=ConvergenceReport(
-            starts=d["report"]["starts"],
-            iterations=d["report"]["iterations"],
-            gradient_norm=d["report"]["gradient_norm"],
-        ),
-        physical=np.array([d["physical"][n] for n in space.names]),
-    )
+    predicted = [d["predicted"][f"L{i}"]
+                 for i in range(1, len(d["predicted"]) + 1)]
+    return Optimum(point=np.array(d["point"]), f_value=d["f_value"],
+                   predicted=np.array(predicted),
+                   report=_from_fields(ConvergenceReport, d["report"]),
+                   physical=np.array([d["physical"][n] for n in space.names]))
 
 
 def state_to_dict(state: CampaignState) -> dict:
-    d: dict = {
+    design, opt, v = state.design, state.optimum, state.verification
+    return {
         "schema_version": SCHEMA_VERSION,
-        "config": state.config.to_dict(),
-        "design": None,
-        "runs": [r.to_dict() for r in state.runs],
-        "models": None,
-        "optimum": None,
-        "verification": None,
+        "config": _config_to_dict(state.config),
+        "design": None if design is None else _fields_dict(design),
+        "runs": [_fields_dict(r) for r in state.runs],
+        "models": None if state.models is None else models_to_dict(state.models),
+        "optimum": (None if opt is None
+                    else _optimum_to_dict(opt, state.config.space)),
+        "verification": None if v is None else _fields_dict(v),
         "timestamps": dict(state.timestamps),
     }
-    if state.design is not None:
-        d["design"] = {
-            "points": [[float(v) for v in row] for row in state.design.points],
-            "roles": list(state.design.roles),
-        }
-    if state.models is not None:
-        d["models"] = models_to_dict(state.models)
-    if state.optimum is not None:
-        d["optimum"] = _optimum_to_dict(state.optimum, state.config.space)
-    if state.verification is not None:
-        d["verification"] = state.verification.to_dict()
-    return d
 
 
 def state_from_dict(d: dict) -> CampaignState:
@@ -328,18 +281,17 @@ def state_from_dict(d: dict) -> CampaignState:
         raise MigrationNeededError(
             f"campaign schema {d.get('schema_version')!r} != supported "
             f"{SCHEMA_VERSION}; migrate the state file first")
-    config = CampaignConfig.from_dict(d["config"])
+    config = _config_from_dict(d["config"])
     state = CampaignState(config=config, timestamps=dict(d.get("timestamps", {})))
     if d.get("design") is not None:
-        state.design = DesignMatrix(points=np.array(d["design"]["points"]),
-                                    roles=tuple(d["design"]["roles"]))
-    state.runs = [RunRecord.from_dict(r) for r in d.get("runs", [])]
+        state.design = _from_fields(DesignMatrix, d["design"])
+    state.runs = [_from_fields(RunRecord, r) for r in d.get("runs", [])]
     if d.get("models") is not None:
         state.models = models_from_dict(d["models"])
     if d.get("optimum") is not None:
         state.optimum = _optimum_from_dict(d["optimum"], config.space)
     if d.get("verification") is not None:
-        state.verification = VerificationRecord.from_dict(d["verification"])
+        state.verification = _from_fields(VerificationRecord, d["verification"])
     # lifecycle monotonicity: later stages never present without earlier ones
     present = [state.design is not None, bool(state.runs),
                state.models is not None, state.optimum is not None,
@@ -360,8 +312,7 @@ def save_state(state: CampaignState, campaign_dir) -> Path:
     campaign_dir = Path(campaign_dir)
     campaign_dir.mkdir(parents=True, exist_ok=True)
     path = campaign_dir / STATE_FILE
-    payload = json.dumps(state_to_dict(state), indent=2, sort_keys=True) + "\n"
-    path.write_text(payload, encoding="utf-8", newline="\n")
+    _write_json(path, state_to_dict(state))
     return path
 
 
@@ -402,40 +353,17 @@ def init_campaign(campaign_dir, config: CampaignConfig | None = None) -> Campaig
     if (campaign_dir / STATE_FILE).exists():
         raise ValidationError(
             f"{campaign_dir} already holds a campaign; refusing to overwrite")
-    state = CampaignState(config=config or default_config())
-    state.timestamps["configured"] = _now()
-    save_state(state, campaign_dir)
-    return state
+    return _complete(CampaignState(config=config or default_config()),
+                     campaign_dir, "configured")
 
 
 def design_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     """Emit the central composite design and design.csv."""
     _require_stage(state, "configured", "design")
     state.design = ccd_design(state.config.space)
-    state.timestamps["designed"] = _now()
     write_design_csv(Path(campaign_dir) / DESIGN_FILE, state.config.space,
                      state.design)
-    save_state(state, campaign_dir)
-    return state
-
-
-def _record_run(state: CampaignState, campaign_dir: Path, i: int, role: str,
-                normalized, blank: BlankSpec, profile: ContourProfile,
-                provenance: str, basis) -> RunRecord:
-    cfg = state.config
-    rel = f"{RUNS_DIR}/run_{i:02d}.csv"
-    fpath = campaign_dir / rel
-    geometry.write_contour_csv(fpath, profile.theta, profile.height)
-    dev = geometry.deviation_vector(profile, cfg.target_height, basis.n_nodes)
-    coords = modal.project(dev, basis, cfg.n_modes)
-    return RunRecord(
-        run=i, role=role,
-        normalized=tuple(float(v) for v in normalized),
-        blank=(blank.diameter, blank.a1, blank.a2),
-        profile_file=rel, sha256=_sha256(fpath), provenance=provenance,
-        lambdas=tuple(float(v) for v in coords.lambdas),
-        residue=float(coords.residue),
-    )
+    return _complete(state, campaign_dir, "designed")
 
 
 def simulate_campaign(state: CampaignState, campaign_dir,
@@ -466,12 +394,16 @@ def simulate_campaign(state: CampaignState, campaign_dir,
                 raise ValidationError(f"ingest directory misses {src.name}")
             profile = plant.ingest_profile(src, cfg.n_points)
             provenance = f"ingested:{src.name}"
-        records.append(_record_run(state, campaign_dir, i, role, point, blank,
-                                   profile, provenance, basis))
+        rel = f"{RUNS_DIR}/run_{i:02d}.csv"
+        sha256 = _write_profile(campaign_dir, rel, profile)
+        coords = modal.decompose(profile, cfg.target_height, basis)
+        records.append(RunRecord(
+            run=i, role=role, normalized=tuple(point.tolist()),
+            blank=(blank.diameter, blank.a1, blank.a2), profile_file=rel,
+            sha256=sha256, provenance=provenance,
+            lambdas=tuple(coords.lambdas.tolist()), residue=coords.residue))
     state.runs = records
-    state.timestamps["simulated"] = _now()
-    save_state(state, campaign_dir)
-    return state
+    return _complete(state, campaign_dir, "simulated")
 
 
 def response_table(state: CampaignState) -> ResponseTable:
@@ -486,12 +418,8 @@ def fit_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     _require_stage(state, "simulated", "fit")
     state.models = fit_quadratic(state.design, response_table(state),
                                  factor_names=state.config.space.names)
-    state.timestamps["fitted"] = _now()
-    payload = json.dumps(models_to_dict(state.models), indent=2,
-                         sort_keys=True) + "\n"
-    (Path(campaign_dir) / MODELS_FILE).write_text(payload, encoding="utf-8")
-    save_state(state, campaign_dir)
-    return state
+    _write_json(Path(campaign_dir) / MODELS_FILE, models_to_dict(state.models))
+    return _complete(state, campaign_dir, "fitted")
 
 
 def optimize_campaign(state: CampaignState, campaign_dir) -> CampaignState:
@@ -499,12 +427,9 @@ def optimize_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     _require_stage(state, "fitted", "optimize")
     spec = ObjectiveSpec(models=tuple(state.models))
     state.optimum = minimize(spec, space=state.config.space)
-    state.timestamps["optimized"] = _now()
-    payload = json.dumps(_optimum_to_dict(state.optimum, state.config.space),
-                         indent=2, sort_keys=True) + "\n"
-    (Path(campaign_dir) / OPTIMUM_FILE).write_text(payload, encoding="utf-8")
-    save_state(state, campaign_dir)
-    return state
+    _write_json(Path(campaign_dir) / OPTIMUM_FILE,
+                _optimum_to_dict(state.optimum, state.config.space))
+    return _complete(state, campaign_dir, "optimized")
 
 
 def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
@@ -527,13 +452,8 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     opt_profile = plant.simulate(opt_blank, cfg.material, cfg.surrogate,
                                  cfg.n_points)
 
-    def decompose(profile):
-        dev = geometry.deviation_vector(profile, cfg.target_height,
-                                        basis.n_nodes)
-        return modal.project(dev, basis, cfg.n_modes)
-
-    base_coords = decompose(baseline_profile)
-    opt_coords = decompose(opt_profile)
+    base_coords = modal.decompose(baseline_profile, cfg.target_height, basis)
+    opt_coords = modal.decompose(opt_profile, cfg.target_height, basis)
     base_amp = geometry.ear_amplitude(baseline_profile)
     opt_amp = geometry.ear_amplitude(opt_profile)
     if base_amp <= _AMPLITUDE_EPS:
@@ -545,26 +465,20 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
 
     base_rel = f"{RUNS_DIR}/baseline.csv"
     opt_rel = f"{RUNS_DIR}/optimum.csv"
-    geometry.write_contour_csv(campaign_dir / base_rel, baseline_profile.theta,
-                               baseline_profile.height)
-    geometry.write_contour_csv(campaign_dir / opt_rel, opt_profile.theta,
-                               opt_profile.height)
     state.verification = VerificationRecord(
-        optimum_lambdas=tuple(float(v) for v in opt_coords.lambdas),
-        optimum_residue=float(opt_coords.residue),
+        optimum_lambdas=tuple(opt_coords.lambdas.tolist()),
+        optimum_residue=opt_coords.residue,
         optimum_amplitude=opt_amp,
-        baseline_lambdas=tuple(float(v) for v in base_coords.lambdas),
+        baseline_lambdas=tuple(base_coords.lambdas.tolist()),
         baseline_amplitude=base_amp,
         reduction_factor=reduction,
         status=status,
         baseline_file=base_rel,
-        baseline_sha256=_sha256(campaign_dir / base_rel),
+        baseline_sha256=_write_profile(campaign_dir, base_rel, baseline_profile),
         optimum_file=opt_rel,
-        optimum_sha256=_sha256(campaign_dir / opt_rel),
+        optimum_sha256=_write_profile(campaign_dir, opt_rel, opt_profile),
     )
-    state.timestamps["verified"] = _now()
-    save_state(state, campaign_dir)
-    return state
+    return _complete(state, campaign_dir, "verified")
 
 
 # ---------------------------------------------------------------------------
@@ -603,33 +517,28 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     written: list[str] = []
     skipped: list[tuple[str, str]] = []
 
+    def emit(name: str, text: str) -> None:
+        (out_dir / name).write_text(text, encoding="utf-8")
+        written.append(f"{REPORTS_DIR}/{name}")
+
     center = _center_run(state)
     theta, dev = _deviation_from_file(campaign_dir, center.profile_file, cfg)
-    svg = report.polar_deviation_svg(
-        theta, dev, f"Rim deviation, center run (target {cfg.target_height} mm)")
-    (out_dir / "deviation_polar.svg").write_text(svg, encoding="utf-8")
-    written.append(f"{REPORTS_DIR}/deviation_polar.svg")
+    emit("deviation_polar.svg", report.polar_deviation_svg(
+        theta, dev, f"Rim deviation, center run (target {cfg.target_height} mm)"))
 
     series = [("center run", np.array(center.lambdas))]
     if state.verification is not None:
         series.append(("optimum", np.array(state.verification.optimum_lambdas)))
-    svg = report.modal_bars_svg(series, "Modal coordinates (mm)")
-    (out_dir / "modal_bars.svg").write_text(svg, encoding="utf-8")
-    written.append(f"{REPORTS_DIR}/modal_bars.svg")
+    emit("modal_bars.svg", report.modal_bars_svg(series, "Modal coordinates (mm)"))
 
     if state.verification is not None:
         v = state.verification
         theta_b, dev_b = _deviation_from_file(campaign_dir, v.baseline_file, cfg)
         theta_o, dev_o = _deviation_from_file(campaign_dir, v.optimum_file, cfg)
-        svg = report.overlay_polar_svg(theta_b, dev_b, dev_o, "nominal blank",
-                                       "optimal blank",
-                                       "Nominal vs optimum rim deviation")
-        (out_dir / "overlay_polar.svg").write_text(svg, encoding="utf-8")
-        written.append(f"{REPORTS_DIR}/overlay_polar.svg")
-
-        (out_dir / "summary.txt").write_text(_summary_text(state),
-                                             encoding="utf-8")
-        written.append(f"{REPORTS_DIR}/summary.txt")
+        emit("overlay_polar.svg", report.overlay_polar_svg(
+            theta_b, dev_b, dev_o, "nominal blank", "optimal blank",
+            "Nominal vs optimum rim deviation"))
+        emit("summary.txt", _summary_text(state))
     else:
         skipped.append((f"{REPORTS_DIR}/overlay_polar.svg", "verified"))
         skipped.append((f"{REPORTS_DIR}/summary.txt", "verified"))

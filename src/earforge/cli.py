@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import campaign as cp
-from . import geometry, modal, plant
+from . import modal, plant
 from .errors import EarforgeError, NumericError, ValidationError
 
 ENV_CAMPAIGN = "EARFORGE_CAMPAIGN"
@@ -66,17 +66,13 @@ def _campaign_dir(args) -> Path:
 
 def _cmd_decompose(args) -> int:
     profile = plant.ingest_profile(args.profile)
-    basis = modal.build_modal_basis(n_modes=args.modes)
-    dev = geometry.deviation_vector(profile, args.target, basis.n_nodes)
-    coords = modal.project(dev, basis, args.modes)
+    coords = modal.decompose(profile, args.target,
+                             modal.build_modal_basis(n_modes=args.modes))
     if args.output:
         modal.write_coordinates_csv(args.output, coords)
         print(f"wrote {args.output}")
     else:
-        print("mode,lambda_mm")
-        for i, lam in enumerate(coords.lambdas, start=1):
-            print(f"{i},{float(lam)!r}")
-        print(f"residue,{float(coords.residue)!r}")
+        print(modal._coordinates_text(coords), end="")
     return EXIT_OK
 
 
@@ -115,12 +111,10 @@ def _dispatch(args) -> int:
         elif args.command == "verify":
             state = cp.verify_campaign(state, campaign_dir)
             v = state.verification
-            if v.reduction_factor is None:
-                print(f"verified: amplitude {v.optimum_amplitude:.4f} mm, "
-                      f"reduction {v.status}")
-            else:
-                print(f"verified: amplitude {v.optimum_amplitude:.4f} mm, "
-                      f"reduction {v.reduction_factor:.2f}x")
+            reduction = (v.status if v.reduction_factor is None
+                         else f"{v.reduction_factor:.2f}x")
+            print(f"verified: amplitude {v.optimum_amplitude:.4f} mm, "
+                  f"reduction {reduction}")
         elif args.command == "report":
             written, skipped = cp.report_campaign(state, campaign_dir)
             for rel in written:
@@ -144,10 +138,7 @@ def cli_main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValidationError, EarforgeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
+    except (EarforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

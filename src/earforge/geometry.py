@@ -236,10 +236,11 @@ def read_rim_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     The header must be POLAR_HEADER or CLOUD_HEADER; k is its field count.
     Every other non-blank line must hold k finite numbers, optionally
     double-quoted. Blank lines are skipped; LF, CRLF and CR endings are
-    accepted. Anything else raises ValidationError naming the file line.
+    accepted, as is a leading UTF-8 byte-order mark. Anything else raises
+    ValidationError naming the file line.
     """
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
+    with path.open("r", newline="", encoding="utf-8-sig") as fh:
         header = tuple(c.strip() for c in
                        next(csv.reader([fh.readline()]), []))
         if header not in (POLAR_HEADER, CLOUD_HEADER):

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import csv
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import geometry
 from .errors import NumericError, ValidationError
 
 DEFAULT_N_NODES = 36
@@ -159,6 +161,17 @@ def project(values: np.ndarray, basis: ModalBasis,
     return ModalCoordinates(lambdas=lambdas, residue=residue)
 
 
+def decompose(profile: geometry.ContourProfile, target_height: float,
+              basis: ModalBasis) -> ModalCoordinates:
+    """Modal coordinates of a rim profile's deviation from target_height.
+
+    The profile's quarter deviation vector (geometry.deviation_vector at the
+    basis nodes) is projected onto every mode of the basis.
+    """
+    dev = geometry.deviation_vector(profile, target_height, basis.n_nodes)
+    return project(dev, basis)
+
+
 def reconstruct(coords: ModalCoordinates, basis: ModalBasis) -> np.ndarray:
     """Truncated expansion sum(lambda_i * Q_i) as a deviation vector."""
     k = coords.n_modes
@@ -168,28 +181,60 @@ def reconstruct(coords: ModalCoordinates, basis: ModalBasis) -> np.ndarray:
     return basis.modes[:, :k] @ coords.lambdas
 
 
+def _coordinates_text(coords: ModalCoordinates) -> str:
+    """Coordinates CSV text: `mode,lambda_mm`, one row per mode, residue row."""
+    rows = [f"{i},{float(lam)!r}\n" for i, lam in enumerate(coords.lambdas, 1)]
+    return ("mode,lambda_mm\n" + "".join(rows)
+            + f"residue,{float(coords.residue)!r}\n")
+
+
 def write_coordinates_csv(path, coords: ModalCoordinates) -> None:
     """Write modal coordinates as CSV: `mode,lambda_mm` rows then a residue row."""
-    path = Path(path)
-    with path.open("w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["mode", "lambda_mm"])
-        for i, lam in enumerate(coords.lambdas, start=1):
-            writer.writerow([i, repr(float(lam))])
-        writer.writerow(["residue", repr(float(coords.residue))])
+    Path(path).write_text(_coordinates_text(coords), encoding="utf-8",
+                          newline="\n")
 
 
 def read_coordinates_csv(path) -> ModalCoordinates:
-    """Read back a modal coordinates CSV written by write_coordinates_csv."""
+    """Read back a modal coordinates CSV written by write_coordinates_csv.
+
+    After the `mode,lambda_mm` header, every non-blank row holds two fields:
+    modes 1, 2, ... in order, then one last `residue` row, each with a finite
+    number. Anything else raises ValidationError naming the file line.
+    """
     path = Path(path)
     with path.open("r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip() for c in header] != ["mode", "lambda_mm"]:
+        rows = [(reader.line_num, row) for row in reader if row]
+        end = reader.line_num + 1
+    header = rows[0][1] if rows else None
+    if header is None or [c.strip() for c in header] != ["mode", "lambda_mm"]:
+        raise ValidationError(
+            f"{path}: expected header 'mode,lambda_mm', got {header}")
+    lambdas: list[float] = []
+    residue = None
+    for line, row in rows[1:]:
+        where, text = f"{path}: line {line}", ",".join(row)
+        label = row[0].strip()
+        if residue is not None:
+            raise ValidationError(f"{where}: row after the residue row: {text!r}")
+        if len(row) != 2:
             raise ValidationError(
-                f"{path}: expected header 'mode,lambda_mm', got {header}")
-        rows = [row for row in reader if row]
-    if not rows or rows[-1][0] != "residue":
-        raise ValidationError(f"{path}: missing residue row")
-    lambdas = np.array([float(r[1]) for r in rows[:-1]])
-    return ModalCoordinates(lambdas=lambdas, residue=float(rows[-1][1]))
+                f"{where}: expected 2 fields, got {len(row)} in {text!r}")
+        if label != str(len(lambdas) + 1) and not (label == "residue"
+                                                   and lambdas):
+            raise ValidationError(
+                f"{where}: expected mode {len(lambdas) + 1}, got {label!r}")
+        try:
+            value = float(row[1])
+        except ValueError:
+            raise ValidationError(
+                f"{where}: cannot read {text!r} as numbers") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{where}: non-finite value in {text!r}")
+        if label == "residue":
+            residue = value
+        else:
+            lambdas.append(value)
+    if residue is None:
+        raise ValidationError(f"{path}: line {end}: missing residue row")
+    return ModalCoordinates(lambdas=np.array(lambdas), residue=residue)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
-from .rsm import QuadraticModel, predict
+from .rsm import QuadraticModel, model_matrix
 
 DEFAULT_GRID_PER_AXIS = 21
 _SEED_BEST = 8  # best grid points polished besides the grid's local minima
@@ -115,24 +115,6 @@ def _grad_batch(tensors, points: np.ndarray) -> np.ndarray:
     qx = np.einsum("ijm,nj->nim", q, points)
     l = c + np.einsum("ni,nim->nm", points, b + qx)
     return 2.0 * np.einsum("nm,nim->ni", l, b + 2.0 * qx)
-
-
-def objective_f(spec: ObjectiveSpec, point) -> float:
-    """F = sum of squared model predictions; defined for any point."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1 or point.size != spec.n_factors:
-        raise ValidationError(
-            f"point length {point.size} != factor count {spec.n_factors}")
-    return float(_f_batch(_tensor_form(spec), point[None, :])[0])
-
-
-def objective_gradient(spec: ObjectiveSpec, point) -> np.ndarray:
-    """Closed-form gradient of F at one point."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1 or point.size != spec.n_factors:
-        raise ValidationError(
-            f"point length {point.size} != factor count {spec.n_factors}")
-    return _grad_batch(_tensor_form(spec), point[None, :])[0]
 
 
 def _grid_points(bounds: np.ndarray, per_axis: int) -> np.ndarray:
@@ -258,7 +240,8 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
         iterations=accepted_steps,
         gradient_norm=float(np.sqrt(np.sum(pg_win * pg_win))),
     )
-    predicted = np.array([predict(m, point) for m in spec.models])
+    row = model_matrix(point[None, :])[0]
+    predicted = np.array([row @ m.coefficients for m in spec.models])
     physical = to_physical(space, point) if space is not None else None
     return Optimum(point=point, f_value=float(f_cur[winner]),
                    predicted=predicted, report=report, physical=physical)

@@ -75,16 +75,6 @@ class SurrogateParams:
         return -self.c_ear * material.delta_r / self.g4
 
 
-@dataclass(frozen=True)
-class PlantRun:
-    """One plant evaluation: blank in, rim profile out."""
-
-    blank: BlankSpec
-    material: MaterialAnisotropy
-    profile: ContourProfile
-    provenance: str  # "surrogate" or "ingested:<path>"
-
-
 def simulate(blank: BlankSpec, material: MaterialAnisotropy,
              params: SurrogateParams | None = None,
              n_points: int = geometry.DEFAULT_N_POINTS) -> ContourProfile:
@@ -152,26 +142,21 @@ def run_design(design: DesignMatrix, space: FactorSpace,
                params: SurrogateParams | None = None,
                target_height: float = 35.0,
                n_points: int = geometry.DEFAULT_N_POINTS,
-               basis: modal.ModalBasis | None = None,
                n_modes: int = modal.DEFAULT_N_MODES) -> ResponseTable:
     """Run every design point through the surrogate and decompose the rims.
 
     Each normalized point becomes a physical blank, is formed on the
-    surrogate, reduced to its quarter deviation vector against
-    target_height, and projected onto the modal basis. Rows are assembled in
-    design order.
+    surrogate and decomposed against target_height (modal.decompose). Rows
+    are assembled in design order.
     """
     if design.n_factors != 3 or space.names != ("D", "A1", "A2"):
         raise ValidationError(
             f"run_design expects factors ('D', 'A1', 'A2'), got {space.names}")
-    if basis is None:
-        basis = modal.build_modal_basis(n_modes=n_modes)
+    basis = modal.build_modal_basis(n_modes=n_modes)
     physical = to_physical(space, design.points)
     values = np.empty((design.n_points, n_modes))
     for i, (d, a1, a2) in enumerate(physical):
         profile = simulate(BlankSpec(d, a1, a2), material, params, n_points)
-        dev = geometry.deviation_vector(profile, target_height, basis.n_nodes)
-        coords = modal.project(dev, basis, n_modes)
-        values[i] = coords.lambdas
+        values[i] = modal.decompose(profile, target_height, basis).lambdas
     names = tuple(f"L{i}" for i in range(1, n_modes + 1))
     return ResponseTable(names=names, values=values)

@@ -134,37 +134,6 @@ def fit_quadratic(design: DesignMatrix, responses: ResponseTable,
     return models
 
 
-def predict(model: QuadraticModel, point) -> float:
-    """Evaluate the fitted surface at one normalized point."""
-    point = np.asarray(point, dtype=float)
-    if point.ndim != 1 or point.size != len(model.factor_names):
-        raise ValidationError(
-            f"point length {point.size} != factor count {len(model.factor_names)}")
-    return float((model_matrix(point[None, :]) @ model.coefficients)[0])
-
-
-def predict_at(model: QuadraticModel, points) -> np.ndarray:
-    """Evaluate the fitted surface at many normalized points at once."""
-    return model_matrix(points) @ model.coefficients
-
-
-def rank_influence(model: QuadraticModel) -> list[tuple[str, float]]:
-    """Non-constant terms sorted by absolute normalized coefficient, descending.
-
-    Ties keep model-matrix column order, so the ranking is deterministic.
-    """
-    entries = list(zip(model.terms[1:], np.abs(model.coefficients[1:])))
-    entries.sort(key=lambda e: -e[1])
-    return [(name, float(mag)) for name, mag in entries]
-
-
-def dominant_linear_factor(model: QuadraticModel) -> str:
-    """Name of the linear term with the largest absolute coefficient."""
-    f = len(model.factor_names)
-    linear = np.abs(model.coefficients[1:1 + f])
-    return model.factor_names[int(np.argmax(linear))]
-
-
 def models_to_dict(models) -> dict:
     """JSON-ready mapping: per response, named coefficients plus diagnostics."""
     out = {}

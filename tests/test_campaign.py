@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from earforge import campaign as cp
 from earforge.cli import cli_main
 from earforge.errors import (CampaignLockedError, FreshStateError,
                              MigrationNeededError, StateIntegrityError)
-from earforge.geometry import uniform_theta, write_contour_csv
-from earforge.plant import MaterialAnisotropy, SurrogateParams
+from earforge.geometry import BlankSpec, uniform_theta, write_contour_csv
+from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
+                            ingest_profile, simulate)
+
+SCHEMA1 = Path(__file__).parent / "data" / "schema1"
 
 
 def run_pipeline(campaign_dir, *stages):
@@ -150,6 +154,33 @@ class TestDecompose:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert cli_main(["decompose", str(tmp_path / "nope.csv")]) == 2
 
+    @pytest.mark.parametrize("cloud", [False, True], ids=["polar", "cloud"])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, cloud):
+        # spreadsheet exports start with a UTF-8 byte-order mark
+        theta = uniform_theta(144)[::2] + 0.01
+        height = simulate(BlankSpec(117.2, 0.3, -0.5), DC05).height[::2]
+        if cloud:
+            rows = ["x_mm,y_mm,z_mm"] + [
+                f"{33.0 * math.cos(t)!r},{33.0 * math.sin(t)!r},{h!r}"
+                for t, h in zip(theta.tolist(), height.tolist())]
+        else:
+            rows = ["theta_rad,value_mm"] + [
+                f"{t!r},{h!r}" for t, h in zip(theta.tolist(), height.tolist())]
+        text = "\n".join(rows) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes()[:3] == b"\xef\xbb\xbf"
+        a, b = ingest_profile(plain), ingest_profile(marked)
+        assert np.array_equal(a.theta, b.theta)
+        assert np.array_equal(a.height, b.height)
+        outputs = []
+        for path in (plain, marked):
+            assert cli_main(["decompose", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith("mode,lambda_mm\n1,")
+
 
 class TestStatePersistence:
     def test_save_load_save_is_byte_identical(self, full_campaign):
@@ -157,6 +188,19 @@ class TestStatePersistence:
         state = cp.load_state(full_campaign)
         cp.save_state(state, full_campaign)
         assert (full_campaign / "campaign.json").read_bytes() == raw
+
+    @pytest.mark.parametrize("name", ["configured", "verified",
+                                      "verified_not_applicable"])
+    def test_frozen_schema_1_files_reencode_byte_identical(self, name):
+        # frozen schema-1 files (default config at `configured` and
+        # `verified`; isotropic sheet with c8 = kappa4_6 = 0, whose reduction
+        # factor is null): decoding and re-encoding must give back the stored
+        # bytes, so the flat config layout, key names and reprs cannot drift
+        raw = (SCHEMA1 / f"{name}.json").read_text(encoding="utf-8")
+        state = cp.state_from_dict(json.loads(raw))
+        again = json.dumps(cp.state_to_dict(state), indent=2,
+                           sort_keys=True) + "\n"
+        assert again == raw
 
     def test_loaded_models_compare_equal(self, full_campaign):
         state = cp.load_state(full_campaign)

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from earforge.errors import ValidationError
+from earforge.geometry import ContourProfile, deviation_vector, uniform_theta
 from earforge.modal import (ModalCoordinates, analytic_mode,
-                            build_modal_basis, lumped_mass_diagonal, project,
-                            read_coordinates_csv, reconstruct,
+                            build_modal_basis, decompose, lumped_mass_diagonal,
+                            project, read_coordinates_csv, reconstruct,
                             write_coordinates_csv)
 
 
@@ -210,3 +211,56 @@ class TestCoordinatesCsv:
         text = path.read_text()
         assert text.startswith("mode,lambda_mm\n")
         assert "residue," in text
+
+    @pytest.mark.parametrize("body, line, what", [
+        ("1\nresidue,0.0\n", 2, "expected 2 fields, got 1 in '1'"),
+        ("1,0.5,7\nresidue,0.0\n", 2, "expected 2 fields, got 3"),
+        ("1,0.5\n2,abc\nresidue,0.0\n", 3, "cannot read '2,abc' as numbers"),
+        ("1,0.5\nresidue,\n", 3, "cannot read 'residue,' as numbers"),
+        ("1,nan\nresidue,0.0\n", 2, "non-finite value in '1,nan'"),
+        ("1,0.5\nresidue,inf\n", 3, "non-finite value in 'residue,inf'"),
+        ("2,0.5\nresidue,0.0\n", 2, "expected mode 1, got '2'"),
+        ("1,0.5\n3,0.5\nresidue,0.0\n", 3, "expected mode 2, got '3'"),
+        ("residue,0.0\n", 2, "expected mode 1, got 'residue'"),
+        ("1,0.5\n2,0.5\n", 4, "missing residue row"),
+        ("", 2, "missing residue row"),
+        ("1,0.5\nresidue,0.0\n2,0.5\n", 4, "row after the residue row"),
+    ])
+    def test_bad_rows_name_the_line(self, tmp_path, body, line, what):
+        path = tmp_path / "coords.csv"
+        path.write_text("mode,lambda_mm\n" + body)
+        with pytest.raises(ValidationError) as err:
+            read_coordinates_csv(path)
+        assert f"coords.csv: line {line}: {what}" in str(err.value)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "coords.csv"
+        path.write_text("mode,lambda_mm\n\n1,0.5\n\n2,-0.25\nresidue,0.0\n\n")
+        coords = read_coordinates_csv(path)
+        assert coords.lambdas.tolist() == [0.5, -0.25]
+        assert coords.residue == 0.0
+
+    def test_bad_header(self, tmp_path):
+        path = tmp_path / "coords.csv"
+        path.write_text("theta_rad,value_mm\n1,0.5\nresidue,0.0\n")
+        with pytest.raises(ValidationError, match="expected header"):
+            read_coordinates_csv(path)
+
+
+class TestDecompose:
+    @pytest.mark.parametrize("n_modes", [2, 5, 9])
+    def test_projects_the_deviation_vector_on_every_mode(self, n_modes):
+        theta = uniform_theta(144)
+        profile = ContourProfile(theta, 35.2 + 0.4 * np.cos(4 * theta)
+                                 - 0.1 * np.cos(2 * theta))
+        basis = build_modal_basis(n_modes=n_modes)
+        coords = decompose(profile, 35.0, basis)
+        expected = project(deviation_vector(profile, 35.0, 36), basis, n_modes)
+        assert coords.lambdas.shape == (n_modes,)
+        assert np.array_equal(coords.lambdas, expected.lambdas)
+        assert coords.residue == expected.residue
+
+    def test_target_height_validated(self, basis36):
+        theta = uniform_theta(144)
+        with pytest.raises(ValidationError):
+            decompose(ContourProfile(theta, np.full(144, 35.0)), 0.0, basis36)

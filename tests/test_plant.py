@@ -6,9 +6,8 @@ from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
 from earforge.geometry import (BlankSpec, deviation_vector, ear_amplitude,
                                quarter_nodes, uniform_theta, write_contour_csv)
 from earforge.modal import analytic_mode, build_modal_basis, project
-from earforge.plant import (DC05, MaterialAnisotropy, PlantRun,
-                            SurrogateParams, ingest_profile, run_design,
-                            simulate)
+from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
+                            ingest_profile, run_design, simulate)
 
 ISOTROPIC = MaterialAnisotropy(2.0, 2.0, 2.0)
 
@@ -66,13 +65,6 @@ class TestSimulate:
         a = simulate(BlankSpec(117.0, 0.5, -0.5), DC05)
         b = simulate(BlankSpec(117.0, 0.5, -0.5), DC05)
         assert np.array_equal(a.height, b.height)
-
-    def test_plant_run_record(self):
-        blank = BlankSpec(117.0)
-        run = PlantRun(blank=blank, material=DC05,
-                       profile=simulate(blank, DC05), provenance="surrogate")
-        assert run.profile.n == 144
-        assert run.provenance == "surrogate"
 
 
 class TestIngestProfile:

@@ -3,10 +3,14 @@ import pytest
 
 from earforge.doe import DesignMatrix
 from earforge.errors import SingularDesignError, ValidationError
-from earforge.rsm import (QuadraticModel, ResponseTable, dominant_linear_factor,
-                          fit_quadratic, model_matrix, models_from_dict,
-                          models_to_dict, predict, predict_at, rank_influence,
+from earforge.rsm import (QuadraticModel, ResponseTable, fit_quadratic,
+                          model_matrix, models_from_dict, models_to_dict,
                           term_names)
+
+
+def evaluate(model, points):
+    """The fitted surface at normalized points: model matrix times coefficients."""
+    return model_matrix(points) @ model.coefficients
 
 
 def normal_equations_fit(points, y):
@@ -54,7 +58,7 @@ class TestFitQuadratic:
                                                     reference_runs):
         _, responses, _ = reference_runs
         for j, model in enumerate(reference_models):
-            r = responses[:, j] - predict_at(model, default_design.points)
+            r = responses[:, j] - evaluate(model, default_design.points)
             assert model.max_abs_residual == pytest.approx(np.max(np.abs(r)),
                                                            abs=1e-12)
             assert model.residual_rms == pytest.approx(
@@ -75,7 +79,7 @@ class TestFitQuadratic:
     def test_refit_on_own_predictions_is_identity(self, reference_models,
                                                   default_design):
         model = reference_models[2]
-        y = predict_at(model, default_design.points)
+        y = evaluate(model, default_design.points)
         refit, = fit_quadratic(default_design, make_table(y))
         assert np.allclose(refit.coefficients, model.coefficients,
                            rtol=0, atol=1e-10)
@@ -104,37 +108,28 @@ class TestFitQuadratic:
 class TestPredict:
     def test_center_returns_intercept(self, reference_models):
         for model in reference_models:
-            assert predict(model, np.zeros(3)) == model.coefficients[0]
+            assert evaluate(model, np.zeros(3))[0] == model.coefficients[0]
 
     def test_single_linear_term(self):
         coef = np.zeros(10)
         coef[1] = 2.0
         model = QuadraticModel("Y", ("X1", "X2", "X3"), coef, 0.0, 0.0)
-        assert predict(model, np.array([1.0, 0.0, 0.0])) == 2.0
-        assert predict(model, np.array([0.5, 9.0, -3.0])) == 1.0
-
-    def test_point_length_checked(self, reference_models):
-        with pytest.raises(ValidationError):
-            predict(reference_models[0], np.zeros(2))
+        assert evaluate(model, np.array([1.0, 0.0, 0.0]))[0] == 2.0
+        assert evaluate(model, np.array([0.5, 9.0, -3.0]))[0] == 1.0
 
 
 class TestInfluence:
     def test_reference_diagonal_structure(self, reference_models):
-        assert dominant_linear_factor(reference_models[0]) == "D"
-        assert dominant_linear_factor(reference_models[1]) == "A1"
-        assert dominant_linear_factor(reference_models[2]) == "A2"
+        # largest linear coefficient: D drives L1, A1 drives L2, A2 drives L3
+        for model, factor in zip(reference_models, ("D", "A1", "A2")):
+            linear = np.abs(model.coefficients[1:4])
+            assert model.factor_names[int(np.argmax(linear))] == factor
 
     def test_reference_top_ranked_terms(self, reference_models):
-        assert rank_influence(reference_models[0])[0][0] == "D"
-        assert rank_influence(reference_models[1])[0][0] == "A1"
-        assert rank_influence(reference_models[2])[0][0] == "A2"
-
-    def test_ranking_is_descending_and_excludes_intercept(self, reference_models):
-        ranked = rank_influence(reference_models[0])
-        assert len(ranked) == 9
-        assert "1" not in [name for name, _ in ranked]
-        mags = [mag for _, mag in ranked]
-        assert mags == sorted(mags, reverse=True)
+        # largest non-constant term overall is that same linear term
+        for model, factor in zip(reference_models, ("D", "A1", "A2")):
+            top = 1 + int(np.argmax(np.abs(model.coefficients[1:])))
+            assert model.terms[top] == factor
 
 
 class TestSerialization:

@@ -19,7 +19,7 @@ from .modal import (ModalBasis, ModalCoordinates, analytic_mode,
                     build_modal_basis, decompose, project, reconstruct)
 from .optimizer import ObjectiveSpec, Optimum, grid_oracle, minimize
 from .plant import (DC05, MaterialAnisotropy, SurrogateParams, ingest_profile,
-                    run_design, simulate)
+                    simulate)
 from .rsm import QuadraticModel, ResponseTable, fit_quadratic
 
 __version__ = "0.1.0"
@@ -35,7 +35,7 @@ __all__ = [
     "QuadraticModel", "ResponseTable", "fit_quadratic",
     "ObjectiveSpec", "Optimum", "minimize", "grid_oracle",
     "MaterialAnisotropy", "SurrogateParams", "DC05", "simulate",
-    "ingest_profile", "run_design",
+    "ingest_profile",
     "EarforgeError", "ValidationError", "NumericError", "InvalidBlankError",
     "SingularDesignError",
     "__version__",

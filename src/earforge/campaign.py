@@ -67,6 +67,13 @@ class CampaignConfig:
     n_modes: int = 5
     n_points: int = geometry.DEFAULT_N_POINTS
 
+    def __post_init__(self):
+        # the plant reads each design point as a blank (D, A1, A2)
+        if self.space.names != ("D", "A1", "A2"):
+            raise ValidationError(
+                f"campaign factors must be ('D', 'A1', 'A2'), "
+                f"got {self.space.names}")
+
 
 def default_config() -> CampaignConfig:
     """Default campaign: blank factor ranges, 35 mm target, DC05 sheet."""
@@ -115,19 +122,15 @@ class CampaignState:
     verification: VerificationRecord | None = None
     timestamps: dict = field(default_factory=dict)
 
+    def _done(self) -> list[bool]:
+        """Whether each stage after `configured` has its data, in STAGES order."""
+        return [self.design is not None, bool(self.runs),
+                self.models is not None, self.optimum is not None,
+                self.verification is not None]
+
     @property
     def stage(self) -> str:
-        if self.verification is not None:
-            return "verified"
-        if self.optimum is not None:
-            return "optimized"
-        if self.models is not None:
-            return "fitted"
-        if self.runs:
-            return "simulated"
-        if self.design is not None:
-            return "designed"
-        return "configured"
+        return STAGES[sum(self._done())]
 
 
 def _require_stage(state: CampaignState, needed: str, command: str) -> None:
@@ -137,9 +140,10 @@ def _require_stage(state: CampaignState, needed: str, command: str) -> None:
             raise LifecycleError(
                 f"`{command}` already done (campaign is {have}); "
                 f"start a fresh campaign directory to redo it")
+        article = "an" if needed[0] in "aeiou" else "a"
         raise LifecycleError(
-            f"`{command}` needs a {needed} campaign, but this one is only "
-            f"{have}; run the earlier stages first")
+            f"`{command}` needs {article} {needed} campaign, but this one is "
+            f"only {have}; run the earlier stages first")
 
 
 def _now() -> str:
@@ -293,17 +297,11 @@ def state_from_dict(d: dict) -> CampaignState:
     if d.get("verification") is not None:
         state.verification = _from_fields(VerificationRecord, d["verification"])
     # lifecycle monotonicity: later stages never present without earlier ones
-    present = [state.design is not None, bool(state.runs),
-               state.models is not None, state.optimum is not None,
-               state.verification is not None]
-    seen_gap = False
-    for flag in present:
-        if not flag:
-            seen_gap = True
-        elif seen_gap:
-            raise StateIntegrityError(
-                "state file violates the campaign lifecycle (later stage "
-                "present without its predecessor)")
+    done = state._done()
+    if done != sorted(done, reverse=True):
+        raise StateIntegrityError(
+            "state file violates the campaign lifecycle (later stage "
+            "present without its predecessor)")
     return state
 
 
@@ -328,7 +326,12 @@ def load_state(campaign_dir) -> CampaignState:
         d = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise StateIntegrityError(f"{path} is not valid JSON: {exc}") from exc
-    state = state_from_dict(d)
+    try:
+        state = state_from_dict(d)
+    except KeyError as exc:
+        raise StateIntegrityError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise StateIntegrityError(f"{path}: malformed state: {exc}") from exc
     referenced = [(f"run {r.run}", r.profile_file, r.sha256) for r in state.runs]
     if state.verification is not None:
         v = state.verification

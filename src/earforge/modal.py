@@ -19,7 +19,6 @@ import numpy as np
 from . import geometry
 from .errors import NumericError, ValidationError
 
-DEFAULT_N_NODES = 36
 DEFAULT_N_MODES = 5
 
 
@@ -65,7 +64,7 @@ class ModalBasis:
         return self.modes.shape[1]
 
 
-def analytic_mode(k: int, n_nodes: int = DEFAULT_N_NODES) -> np.ndarray:
+def analytic_mode(k: int, n_nodes: int = geometry.QUARTER_NODES) -> np.ndarray:
     """Closed-form shape of mode k (1-based): cos((k-1)*pi*j/(n_nodes-1))."""
     if k < 1:
         raise ValidationError(f"mode index must be >= 1, got {k}")
@@ -73,7 +72,7 @@ def analytic_mode(k: int, n_nodes: int = DEFAULT_N_NODES) -> np.ndarray:
     return np.cos((k - 1) * np.pi * j / (n_nodes - 1))
 
 
-def build_modal_basis(n_nodes: int = DEFAULT_N_NODES,
+def build_modal_basis(n_nodes: int = geometry.QUARTER_NODES,
                       n_modes: int = DEFAULT_N_MODES) -> ModalBasis:
     """Solve the generalized eigenproblem (K - w^2 M) Q = 0 of the chain.
 

@@ -19,26 +19,21 @@ import numpy as np
 
 from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
-from .rsm import QuadraticModel, model_matrix
+from .rsm import QuadraticModel, _tensor_form, model_matrix
 
-DEFAULT_GRID_PER_AXIS = 21
+_GRID_PER_AXIS = 21
+_MAX_ITERATIONS = 500
 _SEED_BEST = 8  # best grid points polished besides the grid's local minima
 _ARMIJO_C1 = 1e-4
 _STEP_TOL = 1e-16
 _GRAD_TOL = 1e-11
 
 
-def default_bounds(n_factors: int) -> np.ndarray:
-    """The factorial cube [-1, +1] per factor."""
-    return np.array([[-1.0, 1.0]] * n_factors)
-
-
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Models to square-and-sum plus the normalized search box."""
+    """Models to square-and-sum over the normalized factorial cube [-1, 1]."""
 
     models: tuple[QuadraticModel, ...]
-    bounds: np.ndarray = None  # (n_factors, 2); defaults to [-1, 1] per factor
 
     def __post_init__(self):
         models = tuple(self.models)
@@ -48,21 +43,10 @@ class ObjectiveSpec:
         if any(len(m.factor_names) != f for m in models):
             raise ValidationError("all models must share the same factor count")
         object.__setattr__(self, "models", models)
-        bounds = self.bounds
-        if bounds is None:
-            bounds = default_bounds(f)
-        bounds = np.asarray(bounds, dtype=float)
-        if bounds.shape != (f, 2) or np.any(bounds[:, 0] >= bounds[:, 1]):
-            raise ValidationError(f"bounds must be ({f}, 2) with lo < hi")
-        object.__setattr__(self, "bounds", bounds)
 
     @property
     def n_factors(self) -> int:
         return len(self.models[0].factor_names)
-
-    def coefficient_stack(self) -> np.ndarray:
-        """Model coefficients as one (n_terms, n_models) array."""
-        return np.column_stack([m.coefficients for m in self.models])
 
 
 @dataclass(frozen=True)
@@ -79,21 +63,6 @@ class Optimum:
     predicted: np.ndarray         # model values L_i at the optimum
     report: ConvergenceReport
     physical: np.ndarray | None = None  # physical coordinates when a space is given
-
-
-def _tensor_form(spec: ObjectiveSpec):
-    """The models as L(x) = c + x @ b + x @ Q @ x, one column per model.
-
-    Returns c (m,), b (f, m) and a symmetric Q (f, f, m) whose off-diagonal
-    entries hold half the interaction coefficient.
-    """
-    coef = spec.coefficient_stack()
-    f = spec.n_factors
-    q = np.zeros((f, f, coef.shape[1]))
-    i, j = np.triu_indices(f, k=1)
-    q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
-    q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
-    return coef[0], coef[1:1 + f], q
 
 
 def _f_batch(tensors, points: np.ndarray) -> np.ndarray:
@@ -117,9 +86,9 @@ def _grad_batch(tensors, points: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("nm,nim->ni", l, b + 2.0 * qx)
 
 
-def _grid_points(bounds: np.ndarray, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in bounds]
-    mesh = np.meshgrid(*axes, indexing="ij")
+def _grid_points(n_factors: int, per_axis: int) -> np.ndarray:
+    axis = np.linspace(-1.0, 1.0, per_axis)
+    mesh = np.meshgrid(*[axis] * n_factors, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
@@ -142,28 +111,22 @@ def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarra
     return np.flatnonzero(keep)
 
 
-def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
-             grid_per_axis: int = DEFAULT_GRID_PER_AXIS,
-             max_iterations: int = 500) -> Optimum:
-    """Multi-start projected gradient descent over the box.
+def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
+    """Multi-start projected gradient descent over the cube [-1, 1].
 
-    Scores F on a uniform grid (grid_per_axis points per factor), polishes
-    the grid's discrete local minima and its few best points with
-    backtracking gradient descent projected onto the box, and returns the
+    Scores F on a uniform grid (21 points per factor), polishes the grid's
+    discrete local minima and its few best points with backtracking gradient
+    descent projected onto the cube (at most 500 steps each), and returns the
     best polished point. Exactly tied objective values are broken toward the
     lexicographically smallest coordinates.
     """
-    if grid_per_axis < 2:
-        raise ValidationError(f"grid_per_axis must be >= 2, got {grid_per_axis}")
-    tensors = _tensor_form(spec)
-    lo = spec.bounds[:, 0]
-    hi = spec.bounds[:, 1]
-    grid = _grid_points(spec.bounds, grid_per_axis)
+    tensors = _tensor_form(spec.models)
+    grid = _grid_points(spec.n_factors, _GRID_PER_AXIS)
     f_grid = _f_batch(tensors, grid)
     if not np.all(np.isfinite(f_grid)):
         bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
-    seeds = _basin_seeds(f_grid, grid_per_axis, spec.n_factors)
+    seeds = _basin_seeds(f_grid, _GRID_PER_AXIS, spec.n_factors)
     x = grid[seeds]
     f_cur = f_grid[seeds]
     n_starts = x.shape[0]
@@ -172,13 +135,13 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
     prev_x = np.full_like(x, np.nan)
     prev_g = np.full_like(x, np.nan)
     accepted_steps = 0
-    for _ in range(max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
         xa = x[idx]
         g = _grad_batch(tensors, xa)
-        pg = xa - np.clip(xa - g, lo, hi)
+        pg = xa - np.clip(xa - g, -1.0, 1.0)
         done = np.sqrt(np.einsum("ij,ij->i", pg, pg)) <= _GRAD_TOL
         if done.any():
             alive[idx[done]] = False
@@ -203,7 +166,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
         prev_g[idx] = g
         searching = np.ones(idx.size, dtype=bool)
         while searching.any():
-            cand = np.clip(xa - t[:, None] * g, lo, hi)
+            cand = np.clip(xa - t[:, None] * g, -1.0, 1.0)
             fc = _f_batch(tensors, cand)
             if not np.all(np.isfinite(fc[searching])):
                 bad = cand[searching][int(np.flatnonzero(
@@ -234,7 +197,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None,
     winner = tie[order[0]]
     point = x[winner].copy()
     g_win = _grad_batch(tensors, point[None, :])[0]
-    pg_win = point - np.clip(point - g_win, lo, hi)
+    pg_win = point - np.clip(point - g_win, -1.0, 1.0)
     report = ConvergenceReport(
         starts=n_starts,
         iterations=accepted_steps,
@@ -255,7 +218,7 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
-    pts = _grid_points(spec.bounds, resolution)
-    f = _f_batch(_tensor_form(spec), pts)
+    pts = _grid_points(spec.n_factors, resolution)
+    f = _f_batch(_tensor_form(spec.models), pts)
     i = int(np.argmin(f))
     return pts[i].copy(), float(f[i])

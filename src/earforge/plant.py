@@ -13,12 +13,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, modal
-from .doe import DesignMatrix, FactorSpace, to_physical
+from . import geometry
 from .errors import (AmbiguousProfileError, InsufficientDataError,
                      ValidationError)
 from .geometry import BlankSpec, ContourProfile
-from .rsm import ResponseTable
 
 
 @dataclass(frozen=True)
@@ -135,28 +133,3 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
     grid = geometry.uniform_theta(n_points)
     resampled = np.interp(grid, theta, height, period=2.0 * np.pi)
     return ContourProfile(grid, resampled)
-
-
-def run_design(design: DesignMatrix, space: FactorSpace,
-               material: MaterialAnisotropy,
-               params: SurrogateParams | None = None,
-               target_height: float = 35.0,
-               n_points: int = geometry.DEFAULT_N_POINTS,
-               n_modes: int = modal.DEFAULT_N_MODES) -> ResponseTable:
-    """Run every design point through the surrogate and decompose the rims.
-
-    Each normalized point becomes a physical blank, is formed on the
-    surrogate and decomposed against target_height (modal.decompose). Rows
-    are assembled in design order.
-    """
-    if design.n_factors != 3 or space.names != ("D", "A1", "A2"):
-        raise ValidationError(
-            f"run_design expects factors ('D', 'A1', 'A2'), got {space.names}")
-    basis = modal.build_modal_basis(n_modes=n_modes)
-    physical = to_physical(space, design.points)
-    values = np.empty((design.n_points, n_modes))
-    for i, (d, a1, a2) in enumerate(physical):
-        profile = simulate(BlankSpec(d, a1, a2), material, params, n_points)
-        values[i] = modal.decompose(profile, target_height, basis).lambdas
-    names = tuple(f"L{i}" for i in range(1, n_modes + 1))
-    return ResponseTable(names=names, values=values)

@@ -34,6 +34,21 @@ def model_matrix(points) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _tensor_form(models):
+    """The models as L(x) = c + x @ b + x @ Q @ x, one column per model.
+
+    Returns c (m,), b (f, m) and a symmetric Q (f, f, m) whose off-diagonal
+    entries hold half the interaction coefficient (term_names order).
+    """
+    coef = np.column_stack([m.coefficients for m in models])
+    f = len(models[0].factor_names)
+    q = np.zeros((f, f, coef.shape[1]))
+    i, j = np.triu_indices(f, k=1)
+    q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
+    q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
+    return coef[0], coef[1:1 + f], q
+
+
 @dataclass(frozen=True)
 class ResponseTable:
     """Observed responses, one row per design point."""
@@ -67,8 +82,7 @@ class QuadraticModel:
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=float)
-        f = len(self.factor_names)
-        n_terms = 1 + f + f * (f - 1) // 2 + f
+        n_terms = len(term_names(self.factor_names))
         if coef.size != n_terms:
             raise ValidationError(
                 f"{self.response}: expected {n_terms} coefficients, got {coef.size}")

@@ -20,15 +20,15 @@ from earforge.doe import to_normalized
 from earforge.geometry import BlankSpec, deviation_vector, ear_amplitude
 from earforge.modal import analytic_mode, lumped_mass_diagonal, project
 from earforge.optimizer import (ObjectiveSpec, _f_batch, _grad_batch,
-                                _tensor_form, grid_oracle, minimize)
+                                grid_oracle, minimize)
 from earforge.plant import DC05, SurrogateParams, simulate
-from earforge.rsm import (QuadraticModel, ResponseTable, fit_quadratic,
-                          model_matrix)
+from earforge.rsm import (QuadraticModel, ResponseTable, _tensor_form,
+                          fit_quadratic, model_matrix)
 
 
 def _objective(spec):
     """F and its gradient at one point, through the evaluators minimize uses."""
-    tensors = _tensor_form(spec)
+    tensors = _tensor_form(spec.models)
     return (lambda x: float(_f_batch(tensors, np.asarray(x)[None, :])[0]),
             lambda x: _grad_batch(tensors, np.asarray(x)[None, :])[0])
 

@@ -128,6 +128,17 @@ class TestCliLifecycle:
         assert cli_main(["--campaign", str(tmp_path / "none"), "design"]) == 2
         assert "init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, needed", [
+        ("fit", "a simulated"), ("verify", "an optimized")])
+    def test_out_of_order_names_the_needed_stage(self, tmp_path, capsys,
+                                                 command, needed):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init")
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), command]) == 2
+        assert (f"`{command}` needs {needed} campaign, but this one is only "
+                f"configured" in capsys.readouterr().err)
+
 
 class TestDecompose:
     def test_flat_profile_decomposes_to_zero(self, tmp_path, capsys):
@@ -252,6 +263,58 @@ class TestStatePersistence:
         (full_campaign / "campaign.json").write_text(json.dumps(doc))
         with pytest.raises(StateIntegrityError):
             cp.load_state(full_campaign)
+
+
+def _drop_n_modes(doc):
+    del doc["config"]["n_modes"]
+    return doc
+
+
+def _drop_cup_height(doc):
+    del doc["config"]["cup"]["height"]
+    return doc
+
+
+def _cup_is_int(doc):
+    doc["config"]["cup"] = 5
+    return doc
+
+
+def _swap_a1_a2(doc):
+    factors = doc["config"]["factors"]
+    factors[1], factors[2] = factors[2], factors[1]
+    return doc
+
+
+def _drop_a2(doc):
+    del doc["config"]["factors"][2]
+    return doc
+
+
+class TestMalformedState:
+    """A hand-edited campaign.json stops the next stage with exit 2 and a
+    message, never a traceback or a campaign run on the wrong factors."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (_drop_n_modes, "missing key 'n_modes'"),
+        (_drop_cup_height, "missing key 'height'"),
+        (_cup_is_int, "malformed state"),
+        (lambda doc: [doc], "malformed state"),
+        (_swap_a1_a2, "got ('D', 'A2', 'A1')"),
+        (_drop_a2, "got ('D', 'A1')"),
+    ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
+            "a1-a2-swapped", "no-a2"])
+    def test_design_exits_2(self, tmp_path, capsys, edit, message):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init")
+        doc = edit(json.loads((d / "campaign.json").read_text()))
+        (d / "campaign.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), "design"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not (d / "design.csv").exists()
 
 
 class TestIngestFlow:

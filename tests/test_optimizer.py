@@ -6,18 +6,19 @@ import pytest
 
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (ObjectiveSpec, _f_batch, _grad_batch,
-                                _tensor_form, grid_oracle, minimize)
-from earforge.rsm import QuadraticModel, model_matrix, term_names
+                                grid_oracle, minimize)
+from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
 
 
 def objective_f(spec, point):
     """F at one point, through the batch evaluator minimize uses."""
-    return float(_f_batch(_tensor_form(spec), np.asarray(point)[None, :])[0])
+    tensors = _tensor_form(spec.models)
+    return float(_f_batch(tensors, np.asarray(point)[None, :])[0])
 
 
 def objective_gradient(spec, point):
     """Gradient of F at one point, through the batch evaluator minimize uses."""
-    return _grad_batch(_tensor_form(spec), np.asarray(point)[None, :])[0]
+    return _grad_batch(_tensor_form(spec.models), np.asarray(point)[None, :])[0]
 
 
 def model_from_terms(**terms):
@@ -100,16 +101,17 @@ class TestObjective:
         (3, [[-0.5, 0.7], [-2.0, 1.0], [0.0, 3.0]]),
     ])
     def test_tensor_form_matches_model_matrix(self, n_factors, bounds):
+        # bounds: the box the 200 evaluation points are drawn from, None for
+        # the cube [-1, 1] that minimize searches
         rng = np.random.default_rng(44)
         names = tuple(f"X{k + 1}" for k in range(n_factors))
         n_terms = len(term_names(names))
         spec = ObjectiveSpec(
             models=tuple(QuadraticModel("Y", names, rng.normal(0, 1, n_terms),
-                                        0.0, 0.0) for _ in range(5)),
-            bounds=bounds)
-        points = rng.uniform(spec.bounds[:, 0], spec.bounds[:, 1],
-                             (200, n_factors))
-        coef = spec.coefficient_stack()
+                                        0.0, 0.0) for _ in range(5)))
+        box = np.array(bounds or [[-1.0, 1.0]] * n_factors)
+        points = rng.uniform(box[:, 0], box[:, 1], (200, n_factors))
+        coef = np.column_stack([m.coefficients for m in spec.models])
         f_ref = reference_f(coef, points)
         g_ref = reference_gradient(coef, points)
         for x, f, g in zip(points, f_ref, g_ref):
@@ -167,14 +169,12 @@ class TestMinimize:
         assert np.max(np.abs(opt.point - opt_scaled.point)) <= 1e-6
         assert opt_scaled.f_value == pytest.approx(9.0 * opt.f_value, rel=1e-6)
 
-    def test_point_respects_custom_bounds_exactly(self):
-        # minimum of (X1 - 2)^2 over X1 <= 0.5 sits on the bound
-        spec = ObjectiveSpec(models=(model_from_terms(**{"1": -2.0, "X1": 1.0}),),
-                             bounds=np.array([[-0.5, 0.5], [-1, 1], [-1, 1]]))
+    def test_point_respects_box_edge_exactly(self):
+        # minimum of (X1 - 2)^2 over X1 <= 1 sits on the edge of the cube
+        spec = ObjectiveSpec(models=(model_from_terms(**{"1": -2.0, "X1": 1.0}),))
         opt = minimize(spec)
-        assert opt.point[0] == 0.5
-        assert np.all(opt.point >= spec.bounds[:, 0])
-        assert np.all(opt.point <= spec.bounds[:, 1])
+        assert opt.point[0] == 1.0
+        assert np.all(np.abs(opt.point) <= 1.0)
 
     def test_zero_objective_tie_break(self):
         opt = minimize(ZERO_SPEC)
@@ -245,16 +245,7 @@ class TestObjectiveSpec:
         with pytest.raises(ValidationError):
             ObjectiveSpec(models=())
 
-    def test_bounds_shape_checked(self):
-        with pytest.raises(ValidationError):
-            ObjectiveSpec(models=(model_from_terms(),),
-                          bounds=np.array([[1.0, -1.0], [-1, 1], [-1, 1]]))
-
     def test_factor_count_consistency(self):
         two = QuadraticModel("Y", ("X1", "X2"), np.zeros(6), 0.0, 0.0)
         with pytest.raises(ValidationError):
             ObjectiveSpec(models=(model_from_terms(), two))
-
-    def test_default_bounds_are_unit_box(self):
-        assert np.array_equal(ZERO_SPEC.bounds,
-                              [[-1, 1], [-1, 1], [-1, 1]])

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from earforge import campaign as cp
+from earforge.doe import Factor, FactorSpace
 from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
                              InvalidBlankError, ValidationError)
 from earforge.geometry import (BlankSpec, deviation_vector, ear_amplitude,
                                quarter_nodes, uniform_theta, write_contour_csv)
 from earforge.modal import analytic_mode, build_modal_basis, project
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
-                            ingest_profile, run_design, simulate)
+                            ingest_profile, simulate)
 
 ISOTROPIC = MaterialAnisotropy(2.0, 2.0, 2.0)
 
@@ -148,26 +150,40 @@ class TestIngestProfile:
         assert np.max(np.abs(profile.height - expected)) <= 5e-3
 
 
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory):
+    """The default design run on the surrogate by the campaign's simulate
+    stage (DC05 sheet, default gains, 144 points, 5 modes, 35 mm target)."""
+    d = tmp_path_factory.mktemp("camp")
+    state = cp.design_campaign(cp.init_campaign(d), d)
+    return cp.simulate_campaign(state, d)
+
+
+def center_lambdas(state):
+    center, = [r for r in state.runs if r.role == "center"]
+    return np.array(center.lambdas)
+
+
 class TestRunDesign:
-    def test_full_campaign_table_shape(self, default_design, default_space):
-        table = run_design(default_design, default_space, DC05)
+    """The design run on the surrogate through the campaign, and the plant's
+    modal responses to single blanks."""
+
+    def test_full_campaign_table_shape(self, simulated):
+        table = cp.response_table(simulated)
         assert table.values.shape == (15, 5)
         assert table.names == ("L1", "L2", "L3", "L4", "L5")
 
-    def test_center_run_four_lobe_coordinate(self, default_design,
-                                             default_space):
+    def test_center_run_four_lobe_coordinate(self, simulated):
         # oracle: least-squares coefficient of the interpolated cos(4θ)
         # quarter shape on the analytic cosine set, scaled by the rim gain
-        params = SurrogateParams()
-        table = run_design(default_design, default_space, DC05, params)
-        center_row = default_design.roles.index("center")
+        cfg = simulated.config
         modes = np.column_stack([analytic_mode(k, 36) for k in range(1, 6)])
         theta = uniform_theta(144)
         shape = np.interp(quarter_nodes(), theta, np.cos(4 * theta))
         transmission = np.linalg.lstsq(modes, shape, rcond=None)[0][2]
-        oracle = params.c_ear * DC05.delta_r * transmission
+        oracle = cfg.surrogate.c_ear * cfg.material.delta_r * transmission
         assert oracle == pytest.approx(0.8578951525155493, abs=1e-12)
-        assert table.values[center_row, 2] == pytest.approx(oracle, abs=5e-4)
+        assert center_lambdas(simulated)[2] == pytest.approx(oracle, abs=5e-4)
 
     def test_two_lobe_response_is_affine_in_a1(self, default_space):
         params = SurrogateParams()
@@ -192,17 +208,13 @@ class TestRunDesign:
             lam = project(dev, basis).lambdas
             assert np.max(np.abs(lam[1:])) <= 1e-12
 
-    def test_dominant_defect_is_four_lobe(self, default_design, default_space):
-        table = run_design(default_design, default_space, DC05)
-        center_row = default_design.roles.index("center")
-        lam = table.values[center_row]
-        shape_coords = np.abs(lam[1:])
+    def test_dominant_defect_is_four_lobe(self, simulated):
+        shape_coords = np.abs(center_lambdas(simulated)[1:])
         assert np.argmax(shape_coords) == 1  # L3
         assert shape_coords[1] > 3 * np.max(np.delete(shape_coords, 1))
 
-    def test_requires_blank_factor_names(self, default_design):
-        from earforge.doe import Factor, FactorSpace
+    def test_requires_blank_factor_names(self):
         wrong = FactorSpace((Factor("X", 1, 1), Factor("Y", 0, 1),
                              Factor("Z", 0, 1)))
         with pytest.raises(ValidationError):
-            run_design(default_design, wrong, DC05)
+            cp.CampaignConfig(space=wrong)

@@ -12,9 +12,8 @@ from .doe import (DesignMatrix, Factor, FactorSpace, ccd_design,
                   default_factor_space, to_normalized, to_physical)
 from .errors import (EarforgeError, InvalidBlankError, NumericError,
                      SingularDesignError, ValidationError)
-from .geometry import (BlankSpec, ClosedContour, ContourProfile, CupSpec,
-                       blank_contour, deviation_vector, ear_amplitude,
-                       initial_blank_diameter)
+from .geometry import (BlankSpec, ContourProfile, CupSpec, blank_contour,
+                       deviation_vector, ear_amplitude, initial_blank_diameter)
 from .modal import (ModalBasis, ModalCoordinates, analytic_mode,
                     build_modal_basis, decompose, project, reconstruct)
 from .optimizer import ObjectiveSpec, Optimum, grid_oracle, minimize
@@ -25,7 +24,7 @@ from .rsm import QuadraticModel, ResponseTable, fit_quadratic
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlankSpec", "ClosedContour", "ContourProfile", "CupSpec",
+    "BlankSpec", "ContourProfile", "CupSpec",
     "blank_contour", "initial_blank_diameter", "ear_amplitude",
     "deviation_vector",
     "ModalBasis", "ModalCoordinates", "build_modal_basis", "analytic_mode",

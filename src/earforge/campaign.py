@@ -199,10 +199,16 @@ def campaign_lock(campaign_dir):
 
 _SCALARS = (str, int, float, type(None))
 
+# JSON types a scalar field accepts, by its annotation: an int may stand for
+# a float, a bool for no number
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+               "float | None": (int, float, type(None))}
+
 
 @functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _field_specs(cls) -> tuple[tuple[str, str, tuple | None], ...]:
+    """(name, annotation, accepted JSON types or None) of each field."""
+    return tuple((f.name, f.type, _JSON_TYPES.get(f.type)) for f in fields(cls))
 
 
 def _fields_dict(obj) -> dict:
@@ -213,7 +219,7 @@ def _fields_dict(obj) -> dict:
     those containers are walked, never the numbers inside them.
     """
     out = {}
-    for name in _field_names(type(obj)):
+    for name, _, _ in _field_specs(type(obj)):
         v = getattr(obj, name)
         if isinstance(v, _SCALARS):
             pass
@@ -229,9 +235,16 @@ def _fields_dict(obj) -> dict:
 
 def _from_fields(cls, d: dict):
     """Inverse of _fields_dict for a record: each field read by name (a
-    missing one is a KeyError, never a silent default), lists as tuples."""
-    values = (d[name] for name in _field_names(cls))
-    return cls(*(tuple(v) if isinstance(v, list) else v for v in values))
+    missing one is a KeyError, never a silent default), a scalar checked
+    against its annotation (a TypeError), lists as tuples."""
+    values = []
+    for name, annotation, types in _field_specs(cls):
+        v = d[name]
+        if types and (isinstance(v, bool) or not isinstance(v, types)):
+            raise TypeError(
+                f"{cls.__name__}.{name} must be {annotation}, got {v!r}")
+        values.append(tuple(v) if isinstance(v, list) else v)
+    return cls(*values)
 
 
 def _config_to_dict(config: CampaignConfig) -> dict:
@@ -243,7 +256,8 @@ def _config_to_dict(config: CampaignConfig) -> dict:
 def _config_from_dict(d: dict) -> CampaignConfig:
     factors = tuple(_from_fields(Factor, f) for f in d["factors"])
     return _from_fields(CampaignConfig, {
-        **d, "space": FactorSpace(factors=factors, alpha=d["alpha"]),
+        **d, "space": _from_fields(FactorSpace,
+                                   {"factors": factors, "alpha": d["alpha"]}),
         "cup": _from_fields(CupSpec, d["cup"]),
         "material": _from_fields(MaterialAnisotropy, d["material"]),
         "surrogate": _from_fields(SurrogateParams, d["surrogate"])})
@@ -259,10 +273,10 @@ def _optimum_to_dict(opt: Optimum, space: FactorSpace) -> dict:
 def _optimum_from_dict(d: dict, space: FactorSpace) -> Optimum:
     predicted = [d["predicted"][f"L{i}"]
                  for i in range(1, len(d["predicted"]) + 1)]
-    return Optimum(point=np.array(d["point"]), f_value=d["f_value"],
-                   predicted=np.array(predicted),
-                   report=_from_fields(ConvergenceReport, d["report"]),
-                   physical=np.array([d["physical"][n] for n in space.names]))
+    return _from_fields(Optimum, {
+        **d, "point": np.array(d["point"]), "predicted": np.array(predicted),
+        "report": _from_fields(ConvergenceReport, d["report"]),
+        "physical": np.array([d["physical"][n] for n in space.names])})
 
 
 def state_to_dict(state: CampaignState) -> dict:

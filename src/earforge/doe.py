@@ -156,17 +156,3 @@ def write_design_csv(path, space: FactorSpace, design: DesignMatrix) -> None:
         for i, (role, row) in enumerate(zip(design.roles, physical), start=1):
             writer.writerow([i, role, *[repr(float(v)) for v in row]])
 
-
-def read_design_csv(path, space: FactorSpace) -> DesignMatrix:
-    """Read a design CSV written by write_design_csv back into normalized form."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["run", "role", *space.names]
-        if header is None or [c.strip() for c in header] != expected:
-            raise ValidationError(f"{path}: expected header {expected}, got {header}")
-        rows = [row for row in reader if row]
-    roles = tuple(row[1] for row in rows)
-    physical = np.array([[float(v) for v in row[2:]] for row in rows])
-    return DesignMatrix(points=to_normalized(space, physical), roles=roles)

@@ -1,12 +1,14 @@
 """Blank contour synthesis, blank sizing, and scalar metrics on rim profiles.
 
 Angles are radians, lengths millimetres throughout. Contours and profiles are
-sampled on a uniform grid theta_k = 2*pi*k/n over [0, 2*pi).
+sampled on the uniform grid theta_k = 2*pi*k/n over [0, 2*pi); a rim profile
+is its heights on that grid, and its angles are derived from their count.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,66 +58,28 @@ class CupSpec:
             raise ValidationError("cup diameter must be > 0 and height >= 0")
 
 
-def _check_uniform_theta(theta: np.ndarray, what: str) -> None:
-    if theta.ndim != 1 or theta.size < 8:
-        raise ValidationError(f"{what} needs at least 8 samples, got {theta.size}")
-    if theta.size % 4 != 0:
-        raise ValidationError(f"{what} sample count must be a multiple of 4, got {theta.size}")
-    if theta[0] < 0 or theta[-1] >= 2.0 * np.pi:
-        raise ValidationError(f"{what} angles must lie in [0, 2*pi)")
-    d = np.diff(theta)
-    if np.any(d <= 0):
-        raise ValidationError(f"{what} angles must be strictly increasing")
-    if not np.allclose(d, d[0], rtol=0.0, atol=1e-9):
-        raise ValidationError(f"{what} angular spacing must be uniform")
-
-
-@dataclass(frozen=True)
-class ClosedContour:
-    """Sampled closed curve: radius vs angle on a uniform grid."""
-
-    theta: np.ndarray   # radians, uniform, strictly increasing, in [0, 2*pi)
-    radius: np.ndarray  # mm, all > 0
-
-    def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
-        radius = np.asarray(self.radius, dtype=float)
-        _check_uniform_theta(theta, "contour")
-        if radius.shape != theta.shape:
-            raise ValidationError("contour radius and theta lengths differ")
-        if not np.all(np.isfinite(radius)):
-            raise ValidationError("contour radii must be finite")
-        if np.any(radius <= 0):
-            raise ValidationError("contour radii must be positive")
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "radius", radius)
-
-    @property
-    def n(self) -> int:
-        return self.theta.size
-
-
 @dataclass(frozen=True)
 class ContourProfile:
-    """Sampled rim profile: height vs angle on a uniform grid."""
+    """Rim profile: its heights at the uniform angles theta_k = 2*pi*k/n."""
 
-    theta: np.ndarray   # radians, uniform, strictly increasing, in [0, 2*pi)
     height: np.ndarray  # mm
 
     def __post_init__(self):
-        theta = np.asarray(self.theta, dtype=float)
         height = np.asarray(self.height, dtype=float)
-        _check_uniform_theta(theta, "profile")
-        if height.shape != theta.shape:
-            raise ValidationError("profile height and theta lengths differ")
+        if height.ndim != 1:
+            raise ValidationError(
+                f"profile heights must be 1-D, got shape {height.shape}")
         if not np.all(np.isfinite(height)):
             raise ValidationError("profile heights must be finite")
-        object.__setattr__(self, "theta", theta)
+        uniform_theta(height.size)  # the sample-count rule
         object.__setattr__(self, "height", height)
 
-    @property
-    def n(self) -> int:
-        return self.theta.size
+    @functools.cached_property
+    def theta(self) -> np.ndarray:
+        """The sample angles, uniform_theta(n), computed once and read-only."""
+        theta = uniform_theta(self.height.size)
+        theta.flags.writeable = False
+        return theta
 
 
 def uniform_theta(n_points: int) -> np.ndarray:
@@ -126,8 +90,8 @@ def uniform_theta(n_points: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n_points) / n_points
 
 
-def blank_contour(spec: BlankSpec, n_points: int = DEFAULT_N_POINTS) -> ClosedContour:
-    """Sample the blank contour of `spec` at n_points uniform angles.
+def blank_contour(spec: BlankSpec, n_points: int = DEFAULT_N_POINTS) -> np.ndarray:
+    """Radii of the blank contour of `spec` at the n_points uniform angles.
 
     Raises InvalidBlankError if the radius is non-positive at any sample,
     naming the first violating angle.
@@ -140,7 +104,7 @@ def blank_contour(spec: BlankSpec, n_points: int = DEFAULT_N_POINTS) -> ClosedCo
         raise InvalidBlankError(
             f"blank radius {radius[k]:.6g} mm <= 0 at theta = {theta[k]:.6g} rad "
             f"(D={spec.diameter}, A1={spec.a1}, A2={spec.a2})")
-    return ClosedContour(theta, radius)
+    return radius
 
 
 def initial_blank_diameter(cup: CupSpec) -> float:

@@ -93,7 +93,7 @@ def simulate(blank: BlankSpec, material: MaterialAnisotropy,
               * np.cos(4.0 * theta)
               + params.kappa4_6 * blank.a2 * np.cos(6.0 * theta)
               + params.c8 * np.cos(8.0 * theta))
-    return ContourProfile(theta, height)
+    return ContourProfile(height)
 
 
 def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourProfile:
@@ -107,7 +107,9 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
       with z as height.
 
     Either way the samples are sorted by angle and resampled onto the
-    uniform n_points grid by periodic linear interpolation.
+    uniform n_points grid by periodic linear interpolation. The angles must
+    cover at most one turn; a closed-loop export may repeat its first sample
+    one turn later only with the same height.
     """
     path = Path(path)
     header, rows = geometry.read_rim_csv(path)
@@ -130,6 +132,18 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
         angles = ", ".join(f"{theta[i]:.9g}" for i in dup[:8])
         raise AmbiguousProfileError(
             f"{path}: duplicate angular positions at theta = {angles}")
-    grid = geometry.uniform_theta(n_points)
-    resampled = np.interp(grid, theta, height, period=2.0 * np.pi)
-    return ContourProfile(grid, resampled)
+    # one turn, to the duplicate tolerance: a closed-loop export may repeat
+    # its first sample at +2*pi, but only with the same height
+    span = theta[-1] - theta[0]
+    if span > 2.0 * np.pi + 1e-12:
+        raise ValidationError(
+            f"{path}: angles span {span:.9g} rad, more than one turn "
+            f"(2*pi); are they in degrees?")
+    if span > 2.0 * np.pi - 1e-12 and height[-1] != height[0]:
+        raise AmbiguousProfileError(
+            f"{path}: theta = {theta[0]:.9g} and {theta[-1]:.9g} are one turn "
+            f"apart but their heights differ ({float(height[0])!r} vs "
+            f"{float(height[-1])!r})")
+    resampled = np.interp(geometry.uniform_theta(n_points), theta, height,
+                          period=2.0 * np.pi)
+    return ContourProfile(resampled)

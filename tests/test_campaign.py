@@ -280,6 +280,17 @@ def _cup_is_int(doc):
     return doc
 
 
+def _set(*keys, value):
+    """An edit that sets config[keys...] to value."""
+    def edit(doc):
+        node = doc["config"]
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return doc
+    return edit
+
+
 def _swap_a1_a2(doc):
     factors = doc["config"]["factors"]
     factors[1], factors[2] = factors[2], factors[1]
@@ -302,8 +313,15 @@ class TestMalformedState:
         (lambda doc: [doc], "malformed state"),
         (_swap_a1_a2, "got ('D', 'A2', 'A1')"),
         (_drop_a2, "got ('D', 'A1')"),
+        (_set("n_modes", value="5"), "CampaignConfig.n_modes must be int"),
+        (_set("n_points", value=144.0), "CampaignConfig.n_points must be int"),
+        (_set("surrogate", "k_d", value="0.886"),
+         "SurrogateParams.k_d must be float"),
+        (_set("target_height", value=True),
+         "CampaignConfig.target_height must be float"),
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
-            "a1-a2-swapped", "no-a2"])
+            "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
+            "k_d-is-str", "target-is-bool"])
     def test_design_exits_2(self, tmp_path, capsys, edit, message):
         d = tmp_path / "camp"
         run_pipeline(d, "init")
@@ -315,6 +333,29 @@ class TestMalformedState:
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
         assert not (d / "design.csv").exists()
+        assert not (d / "runs").exists()
+
+    def test_optimum_f_value_is_checked(self, tmp_path, capsys):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init", "design", "simulate", "fit", "optimize")
+        doc = json.loads((d / "campaign.json").read_text())
+        doc["optimum"]["f_value"] = "0.01"
+        (d / "campaign.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), "verify"]) == 2
+        err = capsys.readouterr().err
+        assert "Optimum.f_value must be float" in err
+        assert "Traceback" not in err
+
+    def test_int_for_float_is_accepted(self, tmp_path):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init")
+        doc = json.loads((d / "campaign.json").read_text())
+        doc["config"]["target_height"] = 35
+        doc["config"]["cup"]["height"] = 35
+        (d / "campaign.json").write_text(json.dumps(doc))
+        run_pipeline(d, "design")
+        assert cp.load_state(d).config.target_height == 35.0
 
 
 class TestIngestFlow:
@@ -373,6 +414,24 @@ BAD_RIMS = ["cloud_row_of_2", "polar_row_of_1", "polar_rows_of_3",
             "nan_angle", "inf_height"]
 
 
+def off_turn_rim(case):
+    """(file text, what the error says) of a 0.5 mm four-lobe 16-sample
+    polar rim that is not one turn."""
+    theta = uniform_theta(16).tolist()
+    rows = [(t, 35.0 + 0.5 * math.cos(4 * t)) for t in theta]
+    if case == "degrees":
+        rows = [(math.degrees(t), h) for t, h in rows]
+        what = "angles span 337.5 rad, more than one turn"
+    else:  # "one_turn_apart": theta = 2*pi holds another height than 0
+        rows.append((2 * math.pi, 99.0))
+        what = "are one turn apart but their heights differ"
+    lines = ["theta_rad,value_mm"] + [f"{t!r},{h!r}" for t, h in rows]
+    return "\n".join(lines) + "\n", what
+
+
+OFF_TURN_RIMS = ["degrees", "one_turn_apart"]
+
+
 class TestBadRimFiles:
     def test_well_formed_fixtures(self, tmp_path):
         for lines in (["theta_rad,value_mm"] + flat_rim(),
@@ -401,6 +460,32 @@ class TestBadRimFiles:
         assert cli_main(["--campaign", str(d), "simulate",
                          "--ingest-dir", str(external)]) == 2
         assert f"run_01.csv: line {line}: {what}" in capsys.readouterr().err
+        assert cp.load_state(d).stage == "designed"
+
+    @pytest.mark.parametrize("case", OFF_TURN_RIMS)
+    def test_decompose_exits_2_off_one_turn(self, tmp_path, capsys, case):
+        text, what = off_turn_rim(case)
+        path = tmp_path / "rim.csv"
+        path.write_text(text)
+        assert cli_main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rim.csv: " in err and what in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("case", OFF_TURN_RIMS)
+    def test_ingest_exits_2_off_one_turn(self, tmp_path, capsys, case):
+        d = tmp_path / "camp"
+        run_pipeline(d, "init", "design")
+        external = tmp_path / "external"
+        external.mkdir()
+        text, what = off_turn_rim(case)
+        (external / "run_01.csv").write_text(text)
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), "simulate",
+                         "--ingest-dir", str(external)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run_01.csv: " in err
+        assert what in err and "Traceback" not in err
         assert cp.load_state(d).stage == "designed"
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from earforge.errors import InvalidBlankError, ValidationError
-from earforge.geometry import (BlankSpec, ClosedContour, ContourProfile,
-                               CupSpec, blank_contour, deviation_vector,
+from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
+                               blank_contour, deviation_vector,
                                ear_amplitude, initial_blank_diameter,
                                quarter_nodes, read_contour_csv,
                                read_rim_csv, uniform_theta, write_contour_csv)
@@ -18,20 +18,20 @@ def cosine_profile(n=144, mean=35.0, amplitudes=()):
     height = np.full(n, float(mean))
     for k, a in amplitudes:
         height = height + a * np.cos(k * theta)
-    return ContourProfile(theta, height)
+    return ContourProfile(height)
 
 
 class TestBlankContour:
     def test_pure_circle(self):
-        contour = blank_contour(BlankSpec(117.0), n_points=16)
-        assert contour.n == 16
-        assert np.allclose(contour.radius, 58.5, rtol=0, atol=1e-12)
+        radius = blank_contour(BlankSpec(117.0), n_points=16)
+        assert radius.size == 16
+        assert np.allclose(radius, 58.5, rtol=0, atol=1e-12)
 
     def test_two_lobe_radii(self):
-        contour = blank_contour(BlankSpec(117.0, a1=1.5), n_points=16)
-        assert contour.radius[0] == pytest.approx(60.0, abs=1e-12)
+        radius = blank_contour(BlankSpec(117.0, a1=1.5), n_points=16)
+        assert radius[0] == pytest.approx(60.0, abs=1e-12)
         # theta = pi/2 is sample 4 of 16
-        assert contour.radius[4] == pytest.approx(57.0, abs=1e-12)
+        assert radius[4] == pytest.approx(57.0, abs=1e-12)
 
     def test_negative_radius_is_invalid_blank(self):
         with pytest.raises(InvalidBlankError) as err:
@@ -41,9 +41,8 @@ class TestBlankContour:
 
     def test_mirror_symmetries(self):
         spec = BlankSpec(117.0, a1=0.7, a2=-1.1)
-        contour = blank_contour(spec, n_points=144)
-        n = contour.n
-        r = contour.radius
+        r = blank_contour(spec, n_points=144)
+        n = r.size
         for k in range(1, n):
             assert r[k] == pytest.approx(r[n - k], abs=1e-12)          # theta -> -theta
         for k in range(n):
@@ -112,19 +111,17 @@ class TestEarAmplitude:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
-        theta = uniform_theta(48)
         h = rng.uniform(30, 40, 48)
-        base = ear_amplitude(ContourProfile(theta, h))
-        shifted = ear_amplitude(ContourProfile(theta, h + 5.4))
+        base = ear_amplitude(ContourProfile(h))
+        shifted = ear_amplitude(ContourProfile(h + 5.4))
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_scaling_about_mean(self):
         rng = np.random.default_rng(4)
-        theta = uniform_theta(48)
         h = rng.uniform(30, 40, 48)
         mean = h.mean()
-        base = ear_amplitude(ContourProfile(theta, h))
-        scaled = ear_amplitude(ContourProfile(theta, mean + 2.5 * (h - mean)))
+        base = ear_amplitude(ContourProfile(h))
+        scaled = ear_amplitude(ContourProfile(mean + 2.5 * (h - mean)))
         assert scaled == pytest.approx(2.5 * base, rel=1e-12)
 
 
@@ -166,29 +163,34 @@ class TestDeviationVector:
 
 
 class TestContourTypes:
-    def test_contour_rejects_nonuniform_spacing(self):
-        theta = np.array([0.0, 0.1, 0.3, 0.6, 1.0, 1.5, 2.1, 2.8])
-        with pytest.raises(ValidationError):
-            ClosedContour(theta, np.ones(8))
-
     def test_contour_rejects_nonpositive_radius(self):
-        theta = uniform_theta(8)
-        radius = np.ones(8)
-        radius[3] = 0.0
-        with pytest.raises(ValidationError):
-            ClosedContour(theta, radius)
+        # r = 1 + cos(2θ) is exactly 0 at theta = pi/2, sample 2 of 8
+        spec = BlankSpec(2.0, a1=1.0)
+        assert spec.radius_at(uniform_theta(8)).min() == 0.0
+        with pytest.raises(InvalidBlankError) as err:
+            blank_contour(spec, n_points=8)
+        assert f"{math.pi / 2:.6g}" in str(err.value)
 
     def test_profile_rejects_nonfinite_heights(self):
-        theta = uniform_theta(8)
         height = np.ones(8)
         height[2] = np.nan
         with pytest.raises(ValidationError):
-            ContourProfile(theta, height)
+            ContourProfile(height)
 
-    def test_profile_rejects_decreasing_theta(self):
-        theta = uniform_theta(8)[::-1].copy()
-        with pytest.raises(ValidationError):
-            ContourProfile(theta, np.ones(8))
+    def test_profile_theta_is_the_uniform_grid(self):
+        profile = cosine_profile(n=144, amplitudes=[(4, 0.5)])
+        assert np.array_equal(profile.theta, uniform_theta(144))
+        assert profile.theta is profile.theta  # computed once
+        assert not profile.theta.flags.writeable
+
+    def test_profile_rejects_2d_heights(self):
+        with pytest.raises(ValidationError, match="1-D"):
+            ContourProfile(np.ones((2, 8)))
+
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_profile_rejects_bad_sample_counts(self, n):
+        with pytest.raises(ValidationError, match="multiple of 4"):
+            ContourProfile(np.ones(n))
 
 
 def csv_writer_reference(path, theta, values):

@@ -251,7 +251,7 @@ class TestDecompose:
     @pytest.mark.parametrize("n_modes", [2, 5, 9])
     def test_projects_the_deviation_vector_on_every_mode(self, n_modes):
         theta = uniform_theta(144)
-        profile = ContourProfile(theta, 35.2 + 0.4 * np.cos(4 * theta)
+        profile = ContourProfile(35.2 + 0.4 * np.cos(4 * theta)
                                  - 0.1 * np.cos(2 * theta))
         basis = build_modal_basis(n_modes=n_modes)
         coords = decompose(profile, 35.0, basis)
@@ -261,6 +261,5 @@ class TestDecompose:
         assert coords.residue == expected.residue
 
     def test_target_height_validated(self, basis36):
-        theta = uniform_theta(144)
         with pytest.raises(ValidationError):
-            decompose(ContourProfile(theta, np.full(144, 35.0)), 0.0, basis36)
+            decompose(ContourProfile(np.full(144, 35.0)), 0.0, basis36)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -52,7 +54,7 @@ class TestSimulate:
 
     def test_mirror_symmetries(self):
         profile = simulate(BlankSpec(117.3, a1=0.8, a2=-1.2), DC05)
-        n = profile.n
+        n = profile.height.size
         h = profile.height
         for k in range(1, n):
             assert h[k] == pytest.approx(h[n - k], abs=1e-12)
@@ -109,6 +111,31 @@ class TestIngestProfile:
         with pytest.raises(AmbiguousProfileError) as err:
             ingest_profile(path)
         assert f"{theta[4]:.9g}" in str(err.value)
+
+    @pytest.mark.parametrize("last, error", [
+        (35.5, None), (99.0, AmbiguousProfileError)])
+    def test_sample_one_turn_later(self, tmp_path, last, error):
+        theta = uniform_theta(16)
+        lines = ["theta_rad,value_mm"] + [
+            f"{t!r},{35.0 + 0.5 * math.cos(4 * t)!r}" for t in theta.tolist()]
+        path = tmp_path / "closed.csv"
+        path.write_text("\n".join(lines + [f"{2 * np.pi!r},{last!r}"]) + "\n")
+        if error is None:  # a closed-loop export: the repeat changes nothing
+            open_rim = tmp_path / "open.csv"
+            open_rim.write_text("\n".join(lines) + "\n")
+            assert np.array_equal(ingest_profile(path).height,
+                                  ingest_profile(open_rim).height)
+        else:
+            with pytest.raises(error, match="one turn apart"):
+                ingest_profile(path)
+
+    def test_more_than_one_turn(self, tmp_path):
+        path = tmp_path / "degrees.csv"
+        lines = ["theta_rad,value_mm"] + [f"{22.5 * k},35.0" for k in range(16)]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match="span 337.5 rad") as err:
+            ingest_profile(path)
+        assert not isinstance(err.value, AmbiguousProfileError)
 
     def test_unknown_header(self, tmp_path):
         path = tmp_path / "odd.csv"

@@ -1,0 +1,97 @@
+"""Print the sha256 of every artefact of a fixed set of seeded campaigns.
+
+Run it on two checkouts and diff the outputs to check that a change keeps
+every campaign artefact and every `decompose` output byte for byte:
+
+    python tools/artefact_digests.py > digests.json
+
+Hashed, each in a fresh temporary directory:
+
+* every file of six full campaigns (init through report): the default
+  config, four perfbench `campaign_configs` (seed 7), and the default config
+  on perfbench's `campaign_exports` (seed 9) through `simulate --ingest-dir`.
+  `campaign.json` is hashed without its `timestamps`;
+* the exit code and stdout of `earforge decompose` on each of the 48
+  perfbench `metrology_rims` (seed 5).
+
+The output is sorted JSON, one `"name": "sha256"` pair per line. It is not
+part of the test suite and takes a few seconds.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import runpy
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+import earforge as ef  # noqa: E402
+from earforge import campaign as cp  # noqa: E402
+from earforge.cli import cli_main  # noqa: E402
+
+# compiled in memory, so no bytecode is written under perfbench/
+INPUTS = runpy.run_path(str(ROOT / "perfbench" / "inputs.py"),
+                        run_name="perfbench_inputs")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_campaign(d: Path, config=None, ingest_dir=None) -> None:
+    state = cp.init_campaign(d, config)
+    state = cp.design_campaign(state, d)
+    state = cp.simulate_campaign(state, d, ingest_dir=ingest_dir)
+    for stage in (cp.fit_campaign, cp.optimize_campaign, cp.verify_campaign):
+        state = stage(state, d)
+    cp.report_campaign(state, d)
+
+
+def campaign_digests(name: str, d: Path) -> dict:
+    out = {}
+    for path in sorted(p for p in d.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == cp.STATE_FILE:
+            doc = json.loads(data)
+            del doc["timestamps"]
+            data = json.dumps(doc, sort_keys=True).encode()
+        out[f"{name}/{path.relative_to(d).as_posix()}"] = sha256(data)
+    return out
+
+
+def decompose_digest(path: Path) -> str:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(["decompose", str(path)])
+    return sha256(f"exit {code}\n{stdout.getvalue()}".encode())
+
+
+def main() -> None:
+    digests = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        campaigns = [("default", None, None)]
+        configs = INPUTS["campaign_configs"](np.random.default_rng(7), ef, 4)
+        campaigns += [(f"config_{i}", c, None) for i, c in enumerate(configs)]
+        INPUTS["campaign_exports"](np.random.default_rng(9), tmp / "exports")
+        campaigns.append(("ingested", None, tmp / "exports"))
+        for name, config, ingest_dir in campaigns:
+            run_campaign(tmp / name, config, ingest_dir)
+            digests.update(campaign_digests(name, tmp / name))
+        rims = INPUTS["metrology_rims"](np.random.default_rng(5),
+                                        tmp / "rims", 48)
+        for rim in rims:
+            digests[f"decompose/{rim.path.name}"] = decompose_digest(rim.path)
+    print(json.dumps(digests, indent=0, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

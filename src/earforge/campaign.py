@@ -22,23 +22,24 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from . import geometry, modal, plant, report
-from .doe import (DesignMatrix, Factor, FactorSpace, ROLE_CENTER, ccd_design,
+from .doe import (DesignMatrix, FactorSpace, ROLE_CENTER, ccd_design,
                   default_factor_space, to_physical, write_design_csv)
 from .errors import (CampaignLockedError, FreshStateError, LifecycleError,
                      MigrationNeededError, StateIntegrityError,
                      ValidationError)
 from .geometry import BlankSpec, ContourProfile, CupSpec
-from .optimizer import ConvergenceReport, ObjectiveSpec, Optimum, minimize
+from .optimizer import ObjectiveSpec, Optimum, minimize
 from .plant import DC05, MaterialAnisotropy, SurrogateParams
-from .rsm import (QuadraticModel, ResponseTable, fit_quadratic,
-                  models_from_dict, models_to_dict)
+from .rsm import QuadraticModel, ResponseTable, fit_quadratic, term_names
 
 SCHEMA_VERSION = 1
 STATE_FILE = "campaign.json"
@@ -73,6 +74,12 @@ class CampaignConfig:
             raise ValidationError(
                 f"campaign factors must be ('D', 'A1', 'A2'), "
                 f"got {self.space.names}")
+        # refuse now what simulate would refuse only after design
+        modal.build_modal_basis(n_modes=self.n_modes)
+        geometry.uniform_theta(self.n_points)
+        if self.target_height <= 0:
+            raise ValidationError(
+                f"target_height must be > 0, got {self.target_height}")
 
 
 def default_config() -> CampaignConfig:
@@ -86,12 +93,12 @@ class RunRecord:
 
     run: int              # 1-based design order
     role: str
-    normalized: tuple
-    blank: tuple          # (D, A1, A2), mm
+    normalized: tuple[float, ...]
+    blank: tuple[float, ...]  # (D, A1, A2), mm
     profile_file: str     # path relative to the campaign directory
     sha256: str
     provenance: str       # "surrogate" or "ingested:<name>"
-    lambdas: tuple
+    lambdas: tuple[float, ...]
     residue: float
 
 
@@ -99,10 +106,10 @@ class RunRecord:
 class VerificationRecord:
     """Optimal blank re-simulated on the plant, against the circular baseline."""
 
-    optimum_lambdas: tuple
+    optimum_lambdas: tuple[float, ...]
     optimum_residue: float
     optimum_amplitude: float
-    baseline_lambdas: tuple
+    baseline_lambdas: tuple[float, ...]
     baseline_amplitude: float
     reduction_factor: float | None  # baseline/optimum amplitude; None if undefined
     status: str                     # "ok", "not_applicable", or "unbounded"
@@ -197,101 +204,117 @@ def campaign_lock(campaign_dir):
 # ---------------------------------------------------------------------------
 # serialization
 
-_SCALARS = (str, int, float, type(None))
-
-# JSON types a scalar field accepts, by its annotation: an int may stand for
-# a float, a bool for no number
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
-               "float | None": (int, float, type(None))}
+# JSON types a scalar annotation accepts: an int may stand for a float
+_ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
 
 
-@functools.cache
-def _field_specs(cls) -> tuple[tuple[str, str, tuple | None], ...]:
-    """(name, annotation, accepted JSON types or None) of each field."""
-    return tuple((f.name, f.type, _JSON_TYPES.get(f.type)) for f in fields(cls))
+# a dataclass's fields, name -> resolved annotation, in field order
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _fields_dict(obj) -> dict:
-    """A dataclass's fields, by name, as JSON-ready values.
-
-    Nested dataclasses and tuples of them become dicts and lists of dicts,
-    other tuples and arrays become lists, anything else is kept as is. Only
-    those containers are walked, never the numbers inside them.
-    """
-    out = {}
-    for name, _, _ in _field_specs(type(obj)):
-        v = getattr(obj, name)
-        if isinstance(v, _SCALARS):
-            pass
-        elif isinstance(v, tuple):
-            v = [_fields_dict(x) for x in v] if v and is_dataclass(v[0]) else list(v)
-        elif isinstance(v, np.ndarray):
-            v = v.tolist()
-        elif is_dataclass(v):
-            v = _fields_dict(v)
-        out[name] = v
-    return out
+def _encode(value):
+    """JSON-ready form of a state value: a dataclass as a dict of its fields,
+    tuples, lists and arrays as lists; the numbers inside are not walked."""
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    if is_dataclass(value):
+        return {name: _encode(getattr(value, name)) for name in _hints(type(value))}
+    if isinstance(value, (tuple, list)):
+        walk = value and is_dataclass(value[0])
+        return [_encode(v) for v in value] if walk else list(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return dict(value) if isinstance(value, dict) else value
 
 
-def _from_fields(cls, d: dict):
-    """Inverse of _fields_dict for a record: each field read by name (a
-    missing one is a KeyError, never a silent default), a scalar checked
-    against its annotation (a TypeError), lists as tuples."""
-    values = []
-    for name, annotation, types in _field_specs(cls):
-        v = d[name]
-        if types and (isinstance(v, bool) or not isinstance(v, types)):
+def _decode(annotation, value, where: str):
+    """The object `annotation` describes, read from the JSON `value`: a missing
+    dataclass field is a KeyError, a wrong value a TypeError naming `where`,
+    an annotation no branch reads a NotImplementedError naming it."""
+    if annotation in _ACCEPTS:
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTS[annotation]):
             raise TypeError(
-                f"{cls.__name__}.{name} must be {annotation}, got {v!r}")
-        values.append(tuple(v) if isinstance(v, list) else v)
-    return cls(*values)
+                f"{where} must be {annotation.__name__}, got {value!r}")
+        return value
+    if is_dataclass(annotation) or annotation is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"{where} must be an object, got {value!r}")
+        return dict(value) if annotation is dict else annotation(**{
+            name: _decode(t, value[name], f"{annotation.__name__}.{name}")
+            for name, t in _hints(annotation).items()})
+    if annotation is np.ndarray:  # 1-D, or 2-D as a list of rows
+        rows = isinstance(value, list) and value and isinstance(value[0], list)
+        return np.array(_decode(list[list[float]] if rows else list[float],
+                                value, where), dtype=float)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
+        return None if value is None else _decode(args[0], value, where)
+    if origin is list and len(args) == 1 or origin is tuple and args[1:] == (...,):
+        if not isinstance(value, list):
+            raise TypeError(f"{where} must be a list, got {value!r}")
+        accepts = _ACCEPTS.get(args[0])
+        if accepts and all(type(v) in accepts for v in value):
+            return origin(value)
+        return origin(_decode(args[0], v, f"{where}[{i}]")
+                      for i, v in enumerate(value))
+    raise NotImplementedError(f"{where}: no decoder for {annotation!r}")
 
 
-def _config_to_dict(config: CampaignConfig) -> dict:
-    d = _fields_dict(config)
-    d.update(d.pop("space"))  # schema 1 keeps factors and alpha at top level
-    return d
-
-
-def _config_from_dict(d: dict) -> CampaignConfig:
-    factors = tuple(_from_fields(Factor, f) for f in d["factors"])
-    return _from_fields(CampaignConfig, {
-        **d, "space": _from_fields(FactorSpace,
-                                   {"factors": factors, "alpha": d["alpha"]}),
-        "cup": _from_fields(CupSpec, d["cup"]),
-        "material": _from_fields(MaterialAnisotropy, d["material"]),
-        "surrogate": _from_fields(SurrogateParams, d["surrogate"])})
+def _models_to_dict(models) -> dict:
+    """models.json: per response, named coefficients plus diagnostics."""
+    return {m.response: {
+        "coefficients": dict(zip(m.terms, m.coefficients.tolist())),
+        "diagnostics": {"residual_rms": float(m.residual_rms),
+                        "max_abs_residual": float(m.max_abs_residual)},
+        "factors": list(m.factor_names),
+    } for m in models}
 
 
 def _optimum_to_dict(opt: Optimum, space: FactorSpace) -> dict:
-    d = _fields_dict(opt)
+    d = _encode(opt)
     d["physical"] = dict(zip(space.names, d["physical"]))
-    d["predicted"] = {f"L{i}": v for i, v in enumerate(d["predicted"], 1)}
+    d["predicted"] = dict(zip(_responses(len(d["predicted"])), d["predicted"]))
     return d
 
 
-def _optimum_from_dict(d: dict, space: FactorSpace) -> Optimum:
-    predicted = [d["predicted"][f"L{i}"]
-                 for i in range(1, len(d["predicted"]) + 1)]
-    return _from_fields(Optimum, {
-        **d, "point": np.array(d["point"]), "predicted": np.array(predicted),
-        "report": _from_fields(ConvergenceReport, d["report"]),
-        "physical": np.array([d["physical"][n] for n in space.names])})
+def _responses(n: int) -> list[str]:
+    """L1..Ln: the names of the modal responses, in mode order."""
+    return [f"L{i}" for i in range(1, n + 1)]
+
+
+def _model_fields(response: str, entry: dict) -> dict:
+    """QuadraticModel fields from one response's models.json entry."""
+    return {**entry["diagnostics"], "response": response,
+            "factor_names": entry["factors"],
+            "coefficients": [entry["coefficients"][t]
+                             for t in term_names(entry["factors"])]}
+
+
+def _check_sizes(state: CampaignState) -> None:
+    """Each per-mode section holds n_modes entries; the models use the factors."""
+    cfg, v = state.config, state.verification
+    sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
+    sized += [("models", state.models),
+              ("optimum.predicted", getattr(state.optimum, "predicted", None))]
+    sized += [(f"verification.{k}", getattr(v, k, None))
+              for k in ("optimum_lambdas", "baseline_lambdas")]
+    for section, values in sized:
+        if values is not None and len(values) != cfg.n_modes:
+            raise StateIntegrityError(f"{section} holds {len(values)} entries, "
+                                      f"not n_modes = {cfg.n_modes}")
+    if any(m.factor_names != cfg.space.names for m in state.models or ()):
+        raise StateIntegrityError(f"models must use the factors {cfg.space.names}")
 
 
 def state_to_dict(state: CampaignState) -> dict:
-    design, opt, v = state.design, state.optimum, state.verification
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": _config_to_dict(state.config),
-        "design": None if design is None else _fields_dict(design),
-        "runs": [_fields_dict(r) for r in state.runs],
-        "models": None if state.models is None else models_to_dict(state.models),
-        "optimum": (None if opt is None
-                    else _optimum_to_dict(opt, state.config.space)),
-        "verification": None if v is None else _fields_dict(v),
-        "timestamps": dict(state.timestamps),
-    }
+    d = _encode(state)
+    # schema 1's layout: a flat config, models and optimum as in their files
+    d["config"].update(d["config"].pop("space"))
+    if state.models is not None:
+        d["models"] = _models_to_dict(state.models)
+    if state.optimum is not None:
+        d["optimum"] = _optimum_to_dict(state.optimum, state.config.space)
+    return {"schema_version": SCHEMA_VERSION, **d}
 
 
 def state_from_dict(d: dict) -> CampaignState:
@@ -299,17 +322,23 @@ def state_from_dict(d: dict) -> CampaignState:
         raise MigrationNeededError(
             f"campaign schema {d.get('schema_version')!r} != supported "
             f"{SCHEMA_VERSION}; migrate the state file first")
-    config = _config_from_dict(d["config"])
-    state = CampaignState(config=config, timestamps=dict(d.get("timestamps", {})))
-    if d.get("design") is not None:
-        state.design = _from_fields(DesignMatrix, d["design"])
-    state.runs = [_from_fields(RunRecord, r) for r in d.get("runs", [])]
-    if d.get("models") is not None:
-        state.models = models_from_dict(d["models"])
-    if d.get("optimum") is not None:
-        state.optimum = _optimum_from_dict(d["optimum"], config.space)
-    if d.get("verification") is not None:
-        state.verification = _from_fields(VerificationRecord, d["verification"])
+    # undo schema 1's layout (a flat config, models and optimum as in their
+    # files), reading per-mode keys as L1..Ln in index order
+    config = dict(d["config"])
+    config["space"] = {"factors": config.pop("factors"),
+                       "alpha": config.pop("alpha")}
+    models, opt = d["models"], d["optimum"]
+    if models is not None:
+        models = [_model_fields(r, models[r]) for r in _responses(len(models))]
+    if opt is not None:
+        names = [f["name"] for f in config["space"]["factors"]]
+        opt = {**opt, "physical": [opt["physical"][n] for n in names],
+               "predicted": [opt["predicted"][r]
+                             for r in _responses(len(opt["predicted"]))]}
+    state = _decode(CampaignState,
+                    {**d, "config": config, "models": models, "optimum": opt},
+                    "campaign state")
+    _check_sizes(state)
     # lifecycle monotonicity: later stages never present without earlier ones
     done = state._done()
     if done != sorted(done, reverse=True):
@@ -425,9 +454,8 @@ def simulate_campaign(state: CampaignState, campaign_dir,
 
 def response_table(state: CampaignState) -> ResponseTable:
     """Collected modal coordinates of the executed runs, in design order."""
-    names = tuple(f"L{i}" for i in range(1, state.config.n_modes + 1))
-    values = np.array([r.lambdas for r in state.runs])
-    return ResponseTable(names=names, values=values)
+    return ResponseTable(names=tuple(_responses(state.config.n_modes)),
+                         values=np.array([r.lambdas for r in state.runs]))
 
 
 def fit_campaign(state: CampaignState, campaign_dir) -> CampaignState:
@@ -435,7 +463,7 @@ def fit_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     _require_stage(state, "simulated", "fit")
     state.models = fit_quadratic(state.design, response_table(state),
                                  factor_names=state.config.space.names)
-    _write_json(Path(campaign_dir) / MODELS_FILE, models_to_dict(state.models))
+    _write_json(Path(campaign_dir) / MODELS_FILE, _models_to_dict(state.models))
     return _complete(state, campaign_dir, "fitted")
 
 

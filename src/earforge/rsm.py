@@ -81,7 +81,8 @@ class QuadraticModel:
     max_abs_residual: float   # worst residual over the design points
 
     def __post_init__(self):
-        coef = np.asarray(self.coefficients, dtype=float)
+        # contiguous, as when read back from JSON: `row @ coef` gives equal bits
+        coef = np.ascontiguousarray(self.coefficients, dtype=float)
         n_terms = len(term_names(self.factor_names))
         if coef.size != n_terms:
             raise ValidationError(
@@ -144,37 +145,5 @@ def fit_quadratic(design: DesignMatrix, responses: ResponseTable,
             coefficients=coefs[:, j],
             residual_rms=float(np.sqrt(np.mean(r * r))),
             max_abs_residual=float(np.max(np.abs(r))),
-        ))
-    return models
-
-
-def models_to_dict(models) -> dict:
-    """JSON-ready mapping: per response, named coefficients plus diagnostics."""
-    out = {}
-    for m in models:
-        out[m.response] = {
-            "coefficients": {t: float(c) for t, c in zip(m.terms, m.coefficients)},
-            "diagnostics": {
-                "residual_rms": float(m.residual_rms),
-                "max_abs_residual": float(m.max_abs_residual),
-            },
-            "factors": list(m.factor_names),
-        }
-    return out
-
-
-def models_from_dict(payload: dict) -> list[QuadraticModel]:
-    """Rebuild fitted models from the mapping written by models_to_dict."""
-    models = []
-    for response, entry in payload.items():
-        factors = tuple(entry["factors"])
-        terms = term_names(factors)
-        coef = np.array([entry["coefficients"][t] for t in terms])
-        models.append(QuadraticModel(
-            response=response,
-            factor_names=factors,
-            coefficients=coef,
-            residual_rms=entry["diagnostics"]["residual_rms"],
-            max_abs_residual=entry["diagnostics"]["max_abs_residual"],
         ))
     return models

@@ -1,6 +1,9 @@
+import dataclasses
 import json
 import math
+import re
 import shutil
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +216,43 @@ class TestStatePersistence:
                            sort_keys=True) + "\n"
         assert again == raw
 
+    def test_models_dict_roundtrip(self, reference_models):
+        # the reference surfaces through campaign.json's models section
+        state = cp.state_from_dict(json.loads(
+            (SCHEMA1 / "verified.json").read_text(encoding="utf-8")))
+        state.models = list(reference_models)
+        back = cp.state_from_dict(
+            json.loads(json.dumps(cp.state_to_dict(state)))).models
+        assert len(back) == len(reference_models)
+        for orig, rebuilt in zip(reference_models, back):
+            assert rebuilt.response == orig.response
+            assert rebuilt.factor_names == orig.factor_names
+            assert np.array_equal(rebuilt.coefficients, orig.coefficients)
+            assert rebuilt.residual_rms == orig.residual_rms
+            assert rebuilt.max_abs_residual == orig.max_abs_residual
+
+    def test_cli_and_library_agree_with_ten_modes(self, tmp_path):
+        # campaign.json sorts its keys, so L10 precedes L2 there; a stage
+        # that reloads the state must still read the modes in index order,
+        # and compute from them the bits the in-process run computes
+        config = dataclasses.replace(cp.default_config(), n_modes=10)
+        cp.init_campaign(tmp_path / "cli", config)
+        run_pipeline(tmp_path / "cli", "design", "simulate", "fit",
+                     "optimize", "verify")
+        state = cp.init_campaign(tmp_path / "lib", config)
+        for stage in (cp.design_campaign, cp.simulate_campaign,
+                      cp.fit_campaign, cp.optimize_campaign,
+                      cp.verify_campaign):
+            state = stage(state, tmp_path / "lib")
+        docs = []
+        for name in ("cli", "lib"):
+            doc = json.loads((tmp_path / name / "campaign.json").read_text())
+            del doc["timestamps"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert [m.response for m in cp.load_state(tmp_path / "cli").models] \
+            == [f"L{i}" for i in range(1, 11)]
+
     def test_loaded_models_compare_equal(self, full_campaign):
         state = cp.load_state(full_campaign)
         reloaded = cp.load_state(full_campaign)
@@ -280,13 +320,29 @@ def _cup_is_int(doc):
     return doc
 
 
-def _set(*keys, value):
-    """An edit that sets config[keys...] to value."""
+def _put(*keys, value):
+    """An edit that sets doc[keys...] to value."""
     def edit(doc):
-        node = doc["config"]
+        node = doc
         for key in keys[:-1]:
             node = node[key]
         node[keys[-1]] = value
+        return doc
+    return edit
+
+
+def _set(*keys, value):
+    """An edit that sets config[keys...] to value."""
+    return _put("config", *keys, value=value)
+
+
+def _drop(*keys):
+    """An edit that deletes doc[keys...]."""
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
         return doc
     return edit
 
@@ -319,9 +375,14 @@ class TestMalformedState:
          "SurrogateParams.k_d must be float"),
         (_set("target_height", value=True),
          "CampaignConfig.target_height must be float"),
+        (_set("n_modes", value=1), "need 2 <= n_modes <= n_nodes"),
+        (_set("n_modes", value=37), "need 2 <= n_modes <= n_nodes"),
+        (_set("n_points", value=10), "n_points must be >= 8"),
+        (_set("target_height", value=-1.0), "target_height must be > 0"),
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
             "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
-            "k_d-is-str", "target-is-bool"])
+            "k_d-is-str", "target-is-bool", "n_modes-1", "n_modes-37",
+            "n_points-10", "target-negative"])
     def test_design_exits_2(self, tmp_path, capsys, edit, message):
         d = tmp_path / "camp"
         run_pipeline(d, "init")
@@ -347,6 +408,58 @@ class TestMalformedState:
         assert "Optimum.f_value must be float" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("stage, edit, message", [
+        ("simulate", _put("design", "points", 0, 0, value="-1"),
+         "DesignMatrix.points[0][0] must be float, got '-1'"),
+        ("fit", _put("runs", 0, "lambdas", 0, value="0.5"),
+         "RunRecord.lambdas[0] must be float, got '0.5'"),
+        ("fit", _put("runs", 0, "lambdas", 0, value=True),
+         "RunRecord.lambdas[0] must be float, got True"),
+        ("fit", _put("runs", 0, "lambdas", value=[0.1, 0.2]),
+         "runs[0].lambdas holds 2 entries, not n_modes = 5"),
+        ("optimize", _put("models", "L1", "coefficients", "D", value="0.5"),
+         "QuadraticModel.coefficients[1] must be float, got '0.5'"),
+        ("optimize", _put("models", "L1", "diagnostics", "residual_rms",
+                          value=True),
+         "QuadraticModel.residual_rms must be float, got True"),
+        ("optimize", _drop("models", "L5"),
+         "models holds 4 entries, not n_modes = 5"),
+        ("optimize", _put("models", "L2", "factors", value=["D", "A1"]),
+         "models must use the factors ('D', 'A1', 'A2')"),
+        ("verify", _put("optimum", "point", 0, value="0.1"),
+         "Optimum.point[0] must be float, got '0.1'"),
+        ("verify", _put("optimum", "physical", "D", value="117"),
+         "Optimum.physical[0] must be float, got '117'"),
+        ("verify", _drop("optimum", "predicted", "L5"),
+         "optimum.predicted holds 4 entries, not n_modes = 5"),
+        ("report", _put("verification", "optimum_lambdas", value=[0.1, 0.2]),
+         "verification.optimum_lambdas holds 2 entries, not n_modes = 5"),
+        ("report", _put("verification", "baseline_lambdas", value=[0.1]),
+         "verification.baseline_lambdas holds 1 entries, not n_modes = 5"),
+    ], ids=["design-point-is-str", "run-lambda-is-str", "run-lambda-is-bool",
+            "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
+            "no-model-L5", "model-factors", "optimum-point-is-str",
+            "optimum-physical-is-str", "no-predicted-L5",
+            "verified-has-2-lambdas", "baseline-has-1-lambda"])
+    def test_later_stage_exits_2(self, tmp_path, capsys, stage, edit, message):
+        # the edit goes into the state the stages before `stage` left; the
+        # stage must stop before writing anything
+        order = ("init", "design", "simulate", "fit", "optimize", "verify",
+                 "report")
+        d = tmp_path / "camp"
+        run_pipeline(d, *order[:order.index(stage)])
+        doc = edit(json.loads((d / "campaign.json").read_text()))
+        (d / "campaign.json").write_text(json.dumps(doc))
+        before = sorted(d.rglob("*"))
+        raw = (d / "campaign.json").read_bytes()
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), stage]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert sorted(d.rglob("*")) == before
+        assert (d / "campaign.json").read_bytes() == raw
+
     def test_int_for_float_is_accepted(self, tmp_path):
         d = tmp_path / "camp"
         run_pipeline(d, "init")
@@ -356,6 +469,52 @@ class TestMalformedState:
         (d / "campaign.json").write_text(json.dumps(doc))
         run_pipeline(d, "design")
         assert cp.load_state(d).config.target_height == 35.0
+
+
+def _annotation_nodes(annotation):
+    """The annotation and every type inside it, None and ... left out."""
+    yield annotation
+    for arg in typing.get_args(annotation):
+        if arg not in (type(None), ...):
+            yield from _annotation_nodes(arg)
+
+
+@dataclasses.dataclass
+class _Unreadable:
+    z: complex
+
+
+class TestDecoder:
+    def test_every_state_annotation_is_readable(self):
+        # walks every dataclass reachable from CampaignState: each field
+        # annotation, and each type inside it, must reject a wrong value
+        # with a TypeError rather than find no decoder
+        seen, todo = set(), [cp.CampaignState]
+        while todo:
+            cls = todo.pop()
+            if cls in seen:
+                continue
+            seen.add(cls)
+            for name, annotation in cp._hints(cls).items():
+                for node in _annotation_nodes(annotation):
+                    with pytest.raises(TypeError):
+                        cp._decode(node, object(), f"{cls.__name__}.{name}")
+                    if dataclasses.is_dataclass(node):
+                        todo.append(node)
+        assert {c.__name__ for c in seen} == {
+            "CampaignState", "CampaignConfig", "FactorSpace", "Factor",
+            "CupSpec", "MaterialAnisotropy", "SurrogateParams",
+            "DesignMatrix", "RunRecord", "QuadraticModel", "Optimum",
+            "ConvergenceReport", "VerificationRecord"}
+
+    @pytest.mark.parametrize("annotation", [
+        complex, set[float], tuple[float, str], int | str, _Unreadable],
+        ids=["complex", "set", "fixed-tuple", "union", "dataclass-field"])
+    def test_unsupported_annotation_is_named(self, annotation):
+        # never a KeyError, which load_state would report as a missing key
+        named = complex if annotation is _Unreadable else annotation
+        with pytest.raises(NotImplementedError, match=re.escape(repr(named))):
+            cp._decode(annotation, {"z": 1.0}, "X.y")
 
 
 class TestIngestFlow:

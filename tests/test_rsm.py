@@ -4,8 +4,7 @@ import pytest
 from earforge.doe import DesignMatrix
 from earforge.errors import SingularDesignError, ValidationError
 from earforge.rsm import (QuadraticModel, ResponseTable, fit_quadratic,
-                          model_matrix, models_from_dict, models_to_dict,
-                          term_names)
+                          model_matrix, term_names)
 
 
 def evaluate(model, points):
@@ -137,13 +136,3 @@ class TestSerialization:
         assert term_names(("D", "A1", "A2")) == (
             "1", "D", "A1", "A2", "D*A1", "D*A2", "A1*A2",
             "D^2", "A1^2", "A2^2")
-
-    def test_models_dict_roundtrip(self, reference_models):
-        payload = models_to_dict(reference_models)
-        back = models_from_dict(payload)
-        for orig, rebuilt in zip(reference_models, back):
-            assert rebuilt.response == orig.response
-            assert rebuilt.factor_names == orig.factor_names
-            assert np.array_equal(rebuilt.coefficients, orig.coefficients)
-            assert rebuilt.residual_rms == orig.residual_rms
-            assert rebuilt.max_abs_residual == orig.max_abs_residual

@@ -75,7 +75,7 @@ class CampaignConfig:
                 f"campaign factors must be ('D', 'A1', 'A2'), "
                 f"got {self.space.names}")
         # refuse now what simulate would refuse only after design
-        modal.build_modal_basis(n_modes=self.n_modes)
+        modal.check_n_modes(self.n_modes)
         geometry.uniform_theta(self.n_points)
         if self.target_height <= 0:
             raise ValidationError(
@@ -204,7 +204,8 @@ def campaign_lock(campaign_dir):
 # ---------------------------------------------------------------------------
 # serialization
 
-# JSON types a scalar annotation accepts: an int may stand for a float
+# JSON types a scalar annotation accepts: an int may stand for a float, and is
+# read as that float
 _ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
 
 
@@ -235,7 +236,7 @@ def _decode(annotation, value, where: str):
         if isinstance(value, bool) or not isinstance(value, _ACCEPTS[annotation]):
             raise TypeError(
                 f"{where} must be {annotation.__name__}, got {value!r}")
-        return value
+        return annotation(value)
     if is_dataclass(annotation) or annotation is dict:
         if not isinstance(value, dict):
             raise TypeError(f"{where} must be an object, got {value!r}")
@@ -252,8 +253,7 @@ def _decode(annotation, value, where: str):
     if origin is list and len(args) == 1 or origin is tuple and args[1:] == (...,):
         if not isinstance(value, list):
             raise TypeError(f"{where} must be a list, got {value!r}")
-        accepts = _ACCEPTS.get(args[0])
-        if accepts and all(type(v) in accepts for v in value):
+        if args[0] in _ACCEPTS and all(type(v) is args[0] for v in value):
             return origin(value)
         return origin(_decode(args[0], v, f"{where}[{i}]")
                       for i, v in enumerate(value))
@@ -373,7 +373,7 @@ def load_state(campaign_dir) -> CampaignState:
         state = state_from_dict(d)
     except KeyError as exc:
         raise StateIntegrityError(f"{path}: missing key {exc}") from exc
-    except (TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise StateIntegrityError(f"{path}: malformed state: {exc}") from exc
     referenced = [(f"run {r.run}", r.profile_file, r.sha256) for r in state.runs]
     if state.verification is not None:

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -19,7 +20,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERIC = 3
 
 
-def build_parser() -> argparse.ArgumentParser:
+# built once per process, at the first call, and shared: never mutate it
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="earforge",
         description="Compensate anisotropy earing of deep-drawn cups by "
@@ -127,9 +130,8 @@ def _dispatch(args) -> int:
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 0
         return int(code) if isinstance(code, int) else EXIT_VALIDATION

@@ -87,11 +87,16 @@ def build_modal_basis(n_nodes: int = geometry.QUARTER_NODES,
     return _solved_basis(n_nodes, n_modes)
 
 
-@functools.lru_cache(maxsize=64)
-def _solved_basis(n_nodes: int, n_modes: int) -> ModalBasis:
+def check_n_modes(n_modes: int, n_nodes: int = geometry.QUARTER_NODES) -> None:
+    """Refuse a mode count the n_nodes chain cannot supply, without solving it."""
     if n_modes < 2 or n_modes > n_nodes:
         raise ValidationError(
             f"need 2 <= n_modes <= n_nodes, got n_modes={n_modes}, n_nodes={n_nodes}")
+
+
+@functools.lru_cache(maxsize=64)
+def _solved_basis(n_nodes: int, n_modes: int) -> ModalBasis:
+    check_n_modes(n_modes, n_nodes)
     m = lumped_mass_diagonal(n_nodes)
     k = second_difference_stiffness(n_nodes)
     inv_sqrt_m = 1.0 / np.sqrt(m)

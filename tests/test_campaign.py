@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import re
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 
 from earforge import campaign as cp
+from earforge import modal
 from earforge.cli import cli_main
 from earforge.errors import (CampaignLockedError, FreshStateError,
                              MigrationNeededError, StateIntegrityError)
@@ -196,6 +200,57 @@ class TestDecompose:
         assert outputs[0].startswith("mode,lambda_mm\n1,")
 
 
+class TestParserReuse:
+    """cli_main builds its parser once per process; each call parses afresh."""
+
+    @pytest.fixture()
+    def flat(self, tmp_path):
+        path = tmp_path / "flat.csv"
+        write_contour_csv(path, uniform_theta(144), np.full(144, 35.0))
+        return str(path)
+
+    def test_no_state_leaks_between_calls(self, flat, capsys):
+        assert cli_main(["decompose", flat, "--modes", "7",
+                         "--target", "34.5"]) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert cli_main(["decompose", flat]) == 0
+        second = capsys.readouterr().out.splitlines()
+        assert len(first) == 1 + 7 + 1
+        assert float(first[1].split(",")[1]) == pytest.approx(0.5)
+        assert len(second) == 1 + 5 + 1
+        assert float(second[1].split(",")[1]) == pytest.approx(0.0, abs=1e-12)
+
+    def test_parser_is_not_rebuilt(self, flat, monkeypatch, capsys):
+        assert cli_main(["decompose", flat]) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert cli_main(["decompose", flat]) == 0
+        assert cli_main(["decompose"]) == 2
+        assert cli_main(["--help"]) == 0
+        assert built == []
+
+    def test_streams_are_looked_up_at_each_call(self, capsys):
+        errors = []
+        for _ in range(2):
+            assert cli_main(["decompose"]) == 2
+            errors.append(capsys.readouterr().err)
+        elsewhere = io.StringIO()
+        with contextlib.redirect_stderr(elsewhere):
+            assert cli_main(["decompose"]) == 2
+        assert errors[0] == errors[1] == elsewhere.getvalue()
+        assert errors[0].startswith("usage: earforge decompose")
+        assert "required: profile" in errors[0]
+        for _ in range(2):
+            assert cli_main(["--help"]) == 0
+            assert capsys.readouterr().out.startswith("usage: earforge")
+
+
 class TestStatePersistence:
     def test_save_load_save_is_byte_identical(self, full_campaign):
         raw = (full_campaign / "campaign.json").read_bytes()
@@ -379,10 +434,12 @@ class TestMalformedState:
         (_set("n_modes", value=37), "need 2 <= n_modes <= n_nodes"),
         (_set("n_points", value=10), "n_points must be >= 8"),
         (_set("target_height", value=-1.0), "target_height must be > 0"),
+        (_set("target_height", value=10 ** 400),
+         "malformed state: int too large to convert to float"),
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
             "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
             "k_d-is-str", "target-is-bool", "n_modes-1", "n_modes-37",
-            "n_points-10", "target-negative"])
+            "n_points-10", "target-negative", "target-past-float"])
     def test_design_exits_2(self, tmp_path, capsys, edit, message):
         d = tmp_path / "camp"
         run_pipeline(d, "init")
@@ -395,6 +452,14 @@ class TestMalformedState:
         assert "Traceback" not in err
         assert not (d / "design.csv").exists()
         assert not (d / "runs").exists()
+
+    def test_config_check_solves_no_basis(self, monkeypatch):
+        # loading a state checks n_modes without solving the eigenproblem
+        solved = []
+        monkeypatch.setattr(modal, "_solved_basis",
+                            lambda *sizes: solved.append(sizes))
+        cp.default_config()
+        assert solved == []
 
     def test_optimum_f_value_is_checked(self, tmp_path, capsys):
         d = tmp_path / "camp"
@@ -461,14 +526,25 @@ class TestMalformedState:
         assert (d / "campaign.json").read_bytes() == raw
 
     def test_int_for_float_is_accepted(self, tmp_path):
-        d = tmp_path / "camp"
-        run_pipeline(d, "init")
-        doc = json.loads((d / "campaign.json").read_text())
-        doc["config"]["target_height"] = 35
-        doc["config"]["cup"]["height"] = 35
-        (d / "campaign.json").write_text(json.dumps(doc))
-        run_pipeline(d, "design")
-        assert cp.load_state(d).config.target_height == 35.0
+        # an int where a float belongs is read as that float, so the next
+        # stage writes the bytes of the campaign that holds the float
+        payloads = []
+        for number in (float, int):
+            d = tmp_path / number.__name__
+            run_pipeline(d, "init", "design", "simulate")
+            doc = json.loads((d / "campaign.json").read_text())
+            doc["config"]["target_height"] = number(35)
+            doc["config"]["cup"]["height"] = number(35)
+            doc["runs"][0]["lambdas"][0] = number(1)
+            (d / "campaign.json").write_text(json.dumps(doc))
+            run_pipeline(d, "fit")
+            doc = json.loads((d / "campaign.json").read_text())
+            del doc["timestamps"]
+            payloads.append(json.dumps(doc, sort_keys=True))
+        assert payloads[0] == payloads[1]
+        state = cp.load_state(tmp_path / "int")
+        assert type(state.config.target_height) is float
+        assert type(state.runs[0].lambdas[0]) is float
 
 
 def _annotation_nodes(annotation):

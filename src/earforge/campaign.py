@@ -164,8 +164,8 @@ def _complete(state: CampaignState, campaign_dir, stage: str) -> CampaignState:
     return state
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _write_json(path: Path, payload) -> None:
@@ -176,8 +176,8 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str:
     """Write a rim profile into the campaign; returns the file's sha256."""
-    geometry.write_contour_csv(campaign_dir / rel, profile.theta, profile.height)
-    return _sha256(campaign_dir / rel)
+    return _sha256(geometry.write_contour_csv(campaign_dir / rel, profile.theta,
+                                              profile.height))
 
 
 @contextlib.contextmanager
@@ -384,7 +384,7 @@ def load_state(campaign_dir) -> CampaignState:
         fpath = campaign_dir / rel
         if not fpath.exists():
             raise StateIntegrityError(f"{label}: missing contour file {rel}")
-        if _sha256(fpath) != digest:
+        if _sha256(fpath.read_bytes()) != digest:
             raise StateIntegrityError(
                 f"{label}: contour file {rel} does not match its recorded hash")
     return state

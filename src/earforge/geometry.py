@@ -159,17 +159,18 @@ CLOUD_HEADER = ("x_mm", "y_mm", "z_mm")
 _LOADTXT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
-def write_contour_csv(path, theta: np.ndarray, values: np.ndarray) -> None:
+def write_contour_csv(path, theta: np.ndarray, values: np.ndarray) -> bytes:
     """Write a contour/profile as CSV: header `theta_rad,value_mm`, LF endings.
 
     Each value is written as its shortest round-tripping repr, so the file
-    reads back bit for bit.
+    reads back bit for bit. Returns the bytes written.
     """
     theta = np.asarray(theta, dtype=float).tolist()
     values = np.asarray(values, dtype=float).tolist()
     body = "".join(f"{t!r},{v!r}\n" for t, v in zip(theta, values))
-    Path(path).write_text(",".join(POLAR_HEADER) + "\n" + body,
-                          encoding="utf-8", newline="\n")
+    data = (",".join(POLAR_HEADER) + "\n" + body).encode("utf-8")
+    Path(path).write_bytes(data)
+    return data
 
 
 def _first_bad_line(lines: list[str], n_fields: int) -> str:

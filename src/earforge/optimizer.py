@@ -5,14 +5,16 @@ a smooth quartic. Each L_i is held in tensor form c + b.x + x.Q.x, so values
 and gradients come from a few einsums. F is scored on a dense grid once; only
 the grid's basins are polished with projected gradient descent (closed-form
 gradient, Armijo backtracking): its discrete local minima plus the few best
-grid points. The polished starts are advanced in lockstep with vectorized
-array ops, and the reduction to a single winner is ordered, so results are
-deterministic.
+grid points. The search grid and its monomials x_i x_j depend only on the
+factor count, so they are built once per factor count and shared, read-only,
+by every later call. The polished starts are advanced in lockstep with
+vectorized array ops, and the reduction to a single winner is ordered, so
+results are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,14 +67,26 @@ class Optimum:
     physical: np.ndarray | None = None  # physical coordinates when a space is given
 
 
-def _f_batch(tensors, points: np.ndarray) -> np.ndarray:
-    """F at each point, without building the per-point gradient tensor."""
-    c, b, q = tensors
+def _monomials(points: np.ndarray) -> np.ndarray:
+    """The (n, f*f) products x_i x_j of each point, C-contiguous."""
     n, f = points.shape
-    # the (n, f*f) outer products are freed before the linear term is added,
+    return (points[:, :, None] * points[:, None, :]).reshape(n, f * f)
+
+
+def _f_batch(tensors, points: np.ndarray,
+             squares: np.ndarray | None = None) -> np.ndarray:
+    """F at each point, without building the per-point gradient tensor.
+
+    `squares` may hold `_monomials(points)`, computed beforehand.
+    """
+    c, b, q = tensors
+    f = points.shape[1]
+    # outer products built here are freed before the linear term is added,
     # which keeps the peak of a dense scan below that of a model matrix
-    q2 = q.reshape(f * f, -1)
-    l = (points[:, :, None] * points[:, None, :]).reshape(n, f * f) @ q2
+    if squares is None:
+        squares = _monomials(points)
+    l = squares @ q.reshape(f * f, -1)
+    del squares
     l += points @ b
     l += c
     return np.einsum("ij,ij->i", l, l)
@@ -86,10 +100,25 @@ def _grad_batch(tensors, points: np.ndarray) -> np.ndarray:
     return 2.0 * np.einsum("nm,nim->ni", l, b + 2.0 * qx)
 
 
+def _to_box(points: np.ndarray) -> np.ndarray:
+    """Projection onto the cube [-1, 1]; np.clip's values, without its overhead."""
+    return np.minimum(np.maximum(points, -1.0), 1.0)
+
+
 def _grid_points(n_factors: int, per_axis: int) -> np.ndarray:
     axis = np.linspace(-1.0, 1.0, per_axis)
     mesh = np.meshgrid(*[axis] * n_factors, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+@functools.cache
+def _search_grid(n_factors: int) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only search grid of `minimize` and its monomials."""
+    grid = _grid_points(n_factors, _GRID_PER_AXIS)
+    squares = _monomials(grid)
+    grid.flags.writeable = False
+    squares.flags.writeable = False
+    return grid, squares
 
 
 def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarray:
@@ -97,17 +126,27 @@ def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarra
 
     These are the discrete local minima (F <= all 3**n_factors - 1 neighbours,
     the box edges padded with +inf, so every plateau point counts) together
-    with the _SEED_BEST best grid points.
+    with the _SEED_BEST best grid points, ties at the last of them taken in
+    index order, as a stable sort would. The partition needs at least
+    _SEED_BEST grid points; minimize's 21 per axis always give more.
     """
     cube = f_grid.reshape((per_axis,) * n_factors)
-    padded = np.pad(cube, 1, constant_values=np.inf)
-    keep = np.ones(cube.shape, dtype=bool)
-    for offset in itertools.product((-1, 0, 1), repeat=n_factors):
-        if any(offset):
-            keep &= cube <= padded[tuple(slice(1 + o, 1 + o + per_axis)
-                                         for o in offset)]
-    keep = keep.ravel()
-    keep[np.argsort(f_grid, kind="stable")[:_SEED_BEST]] = True
+    # minimum over each point's 3**n_factors neighbourhood, one axis at a time
+    # (a separable running minimum: outside the box there is no neighbour,
+    # which is a +inf pad; the point itself never changes the test)
+    low = cube
+    for axis in range(n_factors):
+        prev = np.moveaxis(low, axis, 0)
+        cur = prev.copy()
+        np.minimum(cur[1:], prev[:-1], out=cur[1:])
+        np.minimum(cur[:-1], prev[1:], out=cur[:-1])
+        low = np.moveaxis(cur, 0, axis)
+    keep = (cube <= low).ravel()
+    kth = np.partition(f_grid, _SEED_BEST - 1)[_SEED_BEST - 1]
+    below = f_grid < kth
+    keep |= below
+    ties = np.flatnonzero(f_grid == kth)
+    keep[ties[:_SEED_BEST - int(np.count_nonzero(below))]] = True
     return np.flatnonzero(keep)
 
 
@@ -118,11 +157,12 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     discrete local minima and its few best points with backtracking gradient
     descent projected onto the cube (at most 500 steps each), and returns the
     best polished point. Exactly tied objective values are broken toward the
-    lexicographically smallest coordinates.
+    lexicographically smallest coordinates. The grid and its monomials are
+    built at the first call for a factor count and reused by later ones.
     """
     tensors = _tensor_form(spec.models)
-    grid = _grid_points(spec.n_factors, _GRID_PER_AXIS)
-    f_grid = _f_batch(tensors, grid)
+    grid, squares = _search_grid(spec.n_factors)
+    f_grid = _f_batch(tensors, grid, squares)
     if not np.all(np.isfinite(f_grid)):
         bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
@@ -141,7 +181,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
             break
         xa = x[idx]
         g = _grad_batch(tensors, xa)
-        pg = xa - np.clip(xa - g, -1.0, 1.0)
+        pg = xa - _to_box(xa - g)
         done = np.sqrt(np.einsum("ij,ij->i", pg, pg)) <= _GRAD_TOL
         if done.any():
             alive[idx[done]] = False
@@ -157,16 +197,16 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
         y = g - prev_g[idx]
         sy = np.einsum("ij,ij->i", s, y)
         yy = np.einsum("ij,ij->i", y, y)
-        t = step[idx].copy()
+        t = step[idx]
         with np.errstate(invalid="ignore", divide="ignore"):
             t_bb = sy / yy
         usable = np.isfinite(t_bb) & (t_bb > 0)
-        t[usable] = np.clip(t_bb[usable], 1e-10, 1e10)
+        t[usable] = np.minimum(np.maximum(t_bb[usable], 1e-10), 1e10)
         prev_x[idx] = xa
         prev_g[idx] = g
         searching = np.ones(idx.size, dtype=bool)
         while searching.any():
-            cand = np.clip(xa - t[:, None] * g, -1.0, 1.0)
+            cand = _to_box(xa - t[:, None] * g)
             fc = _f_batch(tensors, cand)
             if not np.all(np.isfinite(fc[searching])):
                 bad = cand[searching][int(np.flatnonzero(
@@ -197,7 +237,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     winner = tie[order[0]]
     point = x[winner].copy()
     g_win = _grad_batch(tensors, point[None, :])[0]
-    pg_win = point - np.clip(point - g_win, -1.0, 1.0)
+    pg_win = point - _to_box(point - g_win)
     report = ConvergenceReport(
         starts=n_starts,
         iterations=accepted_steps,

@@ -260,10 +260,10 @@ class TestContourCsv:
         n = 4 * int(rng.integers(2, 600))
         theta = uniform_theta(n)
         values = 35.0 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 2, n)
-        write_contour_csv(tmp_path / "new.csv", theta, values)
+        data = write_contour_csv(tmp_path / "new.csv", theta, values)
         csv_writer_reference(tmp_path / "ref.csv", theta, values)
-        assert ((tmp_path / "new.csv").read_bytes()
-                == (tmp_path / "ref.csv").read_bytes())
+        assert data == (tmp_path / "new.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
 
     def test_bytes_match_csv_writer_on_edge_values(self, tmp_path):
         edge = np.array([-0.0, 5e-324, 1e308, 1 / 3, -1e308, 0.0, 1e-7, 1e16])

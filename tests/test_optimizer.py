@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from earforge.errors import NumericError, ValidationError
-from earforge.optimizer import (ObjectiveSpec, _f_batch, _grad_batch,
+from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
+                                _f_batch, _grad_batch, _search_grid,
                                 grid_oracle, minimize)
 from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
 
@@ -133,6 +135,84 @@ class TestObjective:
                 fd[k] = (objective_f(spec, x + e) - objective_f(spec, x - e)) / (2 * h)
             denom = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(g - fd) / denom <= 1e-4
+
+
+def basin_seeds_reference(f_grid, per_axis, n_factors):
+    """Local minima by 3**n_factors - 1 shifted comparisons against an
+    +inf-padded cube, plus the _SEED_BEST first of a stable sort."""
+    cube = f_grid.reshape((per_axis,) * n_factors)
+    padded = np.pad(cube, 1, constant_values=np.inf)
+    keep = np.ones(cube.shape, dtype=bool)
+    for offset in itertools.product((-1, 0, 1), repeat=n_factors):
+        if any(offset):
+            keep &= cube <= padded[tuple(slice(1 + o, 1 + o + per_axis)
+                                         for o in offset)]
+    keep = keep.ravel()
+    keep[np.argsort(f_grid, kind="stable")[:_SEED_BEST]] = True
+    return np.flatnonzero(keep)
+
+
+class TestBasinSeeds:
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    @pytest.mark.parametrize("levels", [None, 3])
+    def test_matches_reference_on_seeded_grids(self, n_factors, levels):
+        # levels: None for continuous values, else that many distinct values,
+        # so plateaus and ties are everywhere
+        rng = np.random.default_rng(46 + n_factors)
+        for _ in range(20):
+            size = 21 ** n_factors
+            f = (rng.random(size) if levels is None
+                 else rng.integers(0, levels, size).astype(float))
+            assert np.array_equal(_basin_seeds(f, 21, n_factors),
+                                  basin_seeds_reference(f, 21, n_factors))
+
+    def test_plateau_keeps_every_point(self):
+        f = np.full(21 ** 3, 0.25)
+        seeds = _basin_seeds(f, 21, 3)
+        assert np.array_equal(seeds, np.arange(21 ** 3))
+        assert np.array_equal(seeds, basin_seeds_reference(f, 21, 3))
+
+    def test_ties_straddling_the_last_best_point(self):
+        # 5 isolated low points, each flanked along the last axis by two
+        # points tied at the next value: the 10 ties compete for the 6th to 8th
+        # best places, none is a local minimum, and only the 3 first in index
+        # order may be kept
+        rng = np.random.default_rng(47)
+        f = 5.0 + rng.random(21 ** 3)
+        low = np.ravel_multi_index(([3, 7, 10, 14, 17], [4, 16, 10, 2, 12],
+                                    [5, 9, 10, 15, 3]), (21,) * 3)
+        f[low] = 0.1 * np.arange(1, 6)
+        ties = np.sort(np.concatenate([low - 1, low + 1]))
+        f[ties] = 1.0
+        seeds = _basin_seeds(f, 21, 3)
+        assert np.array_equal(seeds, basin_seeds_reference(f, 21, 3))
+        assert np.isin(low, seeds).all()
+        assert np.array_equal(ties[np.isin(ties, seeds)], ties[:3])
+
+
+class TestSearchGrid:
+    def test_arrays_are_read_only_and_survive_minimize(self, reference_models):
+        grid, squares = _search_grid(3)
+        before = grid.copy(), squares.copy()
+        assert not grid.flags.writeable
+        assert not squares.flags.writeable
+        minimize(ObjectiveSpec(models=reference_models))
+        minimize(ObjectiveSpec(models=random_models(np.random.default_rng(48))))
+        assert _search_grid(3)[0] is grid
+        assert np.array_equal(grid, before[0])
+        assert np.array_equal(squares, before[1])
+
+    def test_precomputed_monomials_give_the_same_bits(self):
+        grid, squares = _search_grid(3)
+        tensors = _tensor_form(random_models(np.random.default_rng(49)))
+        assert np.array_equal(_f_batch(tensors, grid, squares),
+                              _f_batch(tensors, grid))
+
+    def test_grid_oracle_leaves_the_cache_alone(self):
+        spec = ObjectiveSpec(models=random_models(np.random.default_rng(50)))
+        before = _search_grid.cache_info()
+        grid_oracle(spec, 21)
+        assert _search_grid.cache_info() == before
 
 
 class TestMinimize:

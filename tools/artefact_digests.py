@@ -16,12 +16,20 @@ Hashed, each in a fresh temporary directory:
 
 The output is sorted JSON, one `"name": "sha256"` pair per line. It is not
 part of the test suite and takes a few seconds.
+
+Floating-point results may depend on the numpy build, the CPU features its
+kernels dispatch to and the BLAS (its version, the kernel core it picked at
+run time, its thread settings), so the script prints those facts as one
+JSON line to stderr. Stdout holds the digests alone: two checkouts run on
+one machine still diff cleanly.
 """
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
+import os
 import runpy
 import sys
 import tempfile
@@ -39,6 +47,47 @@ from earforge.cli import cli_main  # noqa: E402
 # compiled in memory, so no bytecode is written under perfbench/
 INPUTS = runpy.run_path(str(ROOT / "perfbench" / "inputs.py"),
                         run_name="perfbench_inputs")
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def openblas_runtime_config() -> str | None:
+    """The config string of the OpenBLAS numpy bundles, as it runs here.
+
+    It names the kernel core a DYNAMIC_ARCH build picked for this CPU, which
+    the build-time config cannot know. None for another BLAS or layout.
+    """
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                      .glob("libscipy_openblas*")):
+        with contextlib.suppress(OSError):
+            handle = ctypes.CDLL(str(lib))
+            for name in ("scipy_openblas_get_config64_",
+                         "scipy_openblas_get_config"):
+                fn = getattr(handle, name, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_char_p
+                    return fn().decode()
+    return None
+
+
+def machine_facts() -> dict:
+    config = {}
+    with contextlib.suppress(TypeError):  # numpy < 1.26 has no dict mode
+        config = np.show_config(mode="dicts")
+    simd = config.get("SIMD Extensions", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "numpy": np.__version__,
+        "cpu_baseline": simd.get("baseline"),
+        "cpu_dispatch_found": simd.get("found"),
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_runtime": openblas_runtime_config(),
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+    }
 
 
 def sha256(data: bytes) -> str:
@@ -75,6 +124,8 @@ def decompose_digest(path: Path) -> str:
 
 
 def main() -> None:
+    print(json.dumps({"machine": machine_facts()}, sort_keys=True),
+          file=sys.stderr)
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

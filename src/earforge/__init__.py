@@ -9,13 +9,13 @@ modal coordinates to find the blank that draws a defect-free cup.
 """
 
 from .doe import (DesignMatrix, Factor, FactorSpace, ccd_design,
-                  default_factor_space, to_normalized, to_physical)
+                  default_factor_space, to_physical)
 from .errors import (EarforgeError, InvalidBlankError, NumericError,
-                     SingularDesignError, ValidationError)
+                     ValidationError)
 from .geometry import (BlankSpec, ContourProfile, CupSpec, blank_contour,
                        deviation_vector, ear_amplitude, initial_blank_diameter)
 from .modal import (ModalBasis, ModalCoordinates, analytic_mode,
-                    build_modal_basis, decompose, project, reconstruct)
+                    build_modal_basis, decompose, project)
 from .optimizer import ObjectiveSpec, Optimum, grid_oracle, minimize
 from .plant import (DC05, MaterialAnisotropy, SurrogateParams, ingest_profile,
                     simulate)
@@ -28,14 +28,13 @@ __all__ = [
     "blank_contour", "initial_blank_diameter", "ear_amplitude",
     "deviation_vector",
     "ModalBasis", "ModalCoordinates", "build_modal_basis", "analytic_mode",
-    "project", "decompose", "reconstruct",
+    "project", "decompose",
     "Factor", "FactorSpace", "DesignMatrix", "ccd_design",
-    "default_factor_space", "to_physical", "to_normalized",
+    "default_factor_space", "to_physical",
     "QuadraticModel", "ResponseTable", "fit_quadratic",
     "ObjectiveSpec", "Optimum", "minimize", "grid_oracle",
     "MaterialAnisotropy", "SurrogateParams", "DC05", "simulate",
     "ingest_profile",
     "EarforgeError", "ValidationError", "NumericError", "InvalidBlankError",
-    "SingularDesignError",
     "__version__",
 ]

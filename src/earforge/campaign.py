@@ -21,6 +21,7 @@ import contextlib
 import functools
 import hashlib
 import json
+import math
 import os
 import types
 import typing
@@ -236,6 +237,8 @@ def _decode(annotation, value, where: str):
         if isinstance(value, bool) or not isinstance(value, _ACCEPTS[annotation]):
             raise TypeError(
                 f"{where} must be {annotation.__name__}, got {value!r}")
+        if annotation is float and not math.isfinite(value):
+            raise ValueError(f"{where} must be finite, got {value!r}")
         return annotation(value)
     if is_dataclass(annotation) or annotation is dict:
         if not isinstance(value, dict):
@@ -339,6 +342,16 @@ def state_from_dict(d: dict) -> CampaignState:
                     {**d, "config": config, "models": models, "optimum": opt},
                     "campaign state")
     _check_sizes(state)
+    # the design must be the config's CCD, bit for bit, so the fit has full
+    # rank (equal roles fix the row count, equal bytes then the rest)
+    design = state.design
+    if design is not None:
+        ccd = ccd_design(state.config.space)
+        if (design.roles != ccd.roles
+                or design.points.tobytes() != ccd.points.tobytes()):
+            raise StateIntegrityError(
+                "design is not the central composite design of the "
+                "configured factor space")
     # lifecycle monotonicity: later stages never present without earlier ones
     done = state._done()
     if done != sorted(done, reverse=True):
@@ -538,8 +551,12 @@ def _center_run(state: CampaignState) -> RunRecord:
 
 def _deviation_from_file(campaign_dir: Path, rel: str,
                          cfg: CampaignConfig) -> tuple[np.ndarray, np.ndarray]:
-    theta, height = geometry.read_contour_csv(campaign_dir / rel)
-    return theta, height - cfg.target_height
+    header, rows = geometry.read_rim_csv(campaign_dir / rel)
+    if header != geometry.POLAR_HEADER:
+        raise ValidationError(
+            f"{rel}: expected header '{','.join(geometry.POLAR_HEADER)}', "
+            f"got {list(header)}")
+    return rows[:, 0], rows[:, 1] - cfg.target_height
 
 
 def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:

@@ -49,8 +49,8 @@ class FactorSpace:
             object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) < 1:
             raise ValidationError("factor space needs at least one factor")
-        if self.alpha < 1.0:
-            raise ValidationError(f"alpha must be >= 1, got {self.alpha}")
+        if not 1.0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 1, got {self.alpha}")
         names = [f.name for f in self.factors]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate factor names: {names}")
@@ -133,17 +133,6 @@ def to_physical(space: FactorSpace, normalized) -> np.ndarray:
     center = np.array([f.center for f in space.factors])
     half = np.array([f.half_range for f in space.factors])
     return center + x * half
-
-
-def to_normalized(space: FactorSpace, physical) -> np.ndarray:
-    """Inverse of to_physical; exact round trip up to float rounding."""
-    x = np.asarray(physical, dtype=float)
-    if x.shape[-1] != space.n_factors:
-        raise ValidationError(
-            f"coordinate length {x.shape[-1]} != factor count {space.n_factors}")
-    center = np.array([f.center for f in space.factors])
-    half = np.array([f.half_range for f in space.factors])
-    return (x - center) / half
 
 
 def write_design_csv(path, space: FactorSpace, design: DesignMatrix) -> None:

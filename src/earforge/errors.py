@@ -28,14 +28,6 @@ class AmbiguousProfileError(ValidationError):
     """Duplicate angular positions make the profile ill-defined."""
 
 
-class SingularDesignError(ValidationError):
-    """Regression design matrix is rank deficient."""
-
-    def __init__(self, message: str, dependent_columns=()):
-        super().__init__(message)
-        self.dependent_columns = tuple(dependent_columns)
-
-
 class LifecycleError(ValidationError):
     """Campaign command issued out of lifecycle order."""
 

@@ -141,8 +141,9 @@ def deviation_vector(profile: ContourProfile, target_height: float,
     np.ndarray
         height(node_k) - target_height for k = 0 .. n_nodes-1, mm.
     """
-    if target_height <= 0:
-        raise ValidationError(f"target height must be > 0, got {target_height}")
+    if not 0 < target_height < math.inf:
+        raise ValidationError(
+            f"target height must be finite and > 0, got {target_height}")
     if n_nodes < 2:
         raise ValidationError(f"need at least 2 quarter nodes, got {n_nodes}")
     nodes = quarter_nodes(n_nodes)
@@ -224,13 +225,3 @@ def read_rim_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     if rows is None or rows.shape[1] != n_fields or not np.all(np.isfinite(rows)):
         raise ValidationError(f"{path}: {_first_bad_line(lines, n_fields)}")
     return header, rows
-
-
-def read_contour_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a `theta_rad,value_mm` CSV back into (theta, values) arrays."""
-    header, rows = read_rim_csv(path)
-    if header != POLAR_HEADER:
-        raise ValidationError(
-            f"{path}: expected header '{','.join(POLAR_HEADER)}', "
-            f"got {list(header)}")
-    return rows[:, 0], rows[:, 1]

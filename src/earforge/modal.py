@@ -1,4 +1,4 @@
-"""Modal basis for rim-defect description, projection, and reconstruction.
+"""Modal basis for rim-defect description and projection.
 
 The quarter rim is modelled as a free-free chain of n_nodes-1 equal axial
 elements with a single degree of freedom per node. Its eigenvectors are
@@ -126,17 +126,12 @@ def _solved_basis(n_nodes: int, n_modes: int) -> ModalBasis:
 class ModalCoordinates:
     """Coordinates of a deviation vector in the modal basis, plus remainder."""
 
-    lambdas: np.ndarray  # mm, one per requested mode
+    lambdas: np.ndarray  # mm, one per basis mode
     residue: float       # |V - sum(lambda_i Q_i)|_inf / |V|_inf, dimensionless
 
-    @property
-    def n_modes(self) -> int:
-        return self.lambdas.size
 
-
-def project(values: np.ndarray, basis: ModalBasis,
-            n_modes: int | None = None) -> ModalCoordinates:
-    """Project a deviation vector onto the first n_modes basis shapes.
+def project(values: np.ndarray, basis: ModalBasis) -> ModalCoordinates:
+    """Project a deviation vector onto every basis shape.
 
     The coordinates are the least-squares fit of `values` on the mode set,
     which coincides with the mode-wise vectorial projection whenever the
@@ -150,12 +145,7 @@ def project(values: np.ndarray, basis: ModalBasis,
             f"deviation vector length {v.size} != basis n_nodes {basis.n_nodes}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("deviation vector entries must be finite")
-    if n_modes is None:
-        n_modes = basis.n_modes
-    if n_modes < 1 or n_modes > basis.n_modes:
-        raise ValidationError(
-            f"need 1 <= n_modes <= {basis.n_modes}, got {n_modes}")
-    q = basis.modes[:, :n_modes]
+    q = basis.modes
     lambdas, *_ = np.linalg.lstsq(q, v, rcond=None)
     norm_v = float(np.max(np.abs(v)))
     if norm_v == 0.0:
@@ -174,15 +164,6 @@ def decompose(profile: geometry.ContourProfile, target_height: float,
     """
     dev = geometry.deviation_vector(profile, target_height, basis.n_nodes)
     return project(dev, basis)
-
-
-def reconstruct(coords: ModalCoordinates, basis: ModalBasis) -> np.ndarray:
-    """Truncated expansion sum(lambda_i * Q_i) as a deviation vector."""
-    k = coords.n_modes
-    if k > basis.n_modes:
-        raise ValidationError(
-            f"coordinates use {k} modes but basis holds {basis.n_modes}")
-    return basis.modes[:, :k] @ coords.lambdas
 
 
 def _coordinates_text(coords: ModalCoordinates) -> str:

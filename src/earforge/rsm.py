@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .doe import DesignMatrix
-from .errors import SingularDesignError, ValidationError
+from .errors import ValidationError
 
 
 def term_names(factor_names) -> tuple[str, ...]:
@@ -97,44 +97,24 @@ class QuadraticModel:
         return term_names(self.factor_names)
 
 
-def _dependent_columns(a: np.ndarray, names, rank: int) -> list[str]:
-    # columns with weight in the null space of the model matrix
-    _, _, vt = np.linalg.svd(a)
-    null = vt[rank:]
-    involved = np.any(np.abs(null) > 1e-8, axis=0)
-    return [n for n, flag in zip(names, involved) if flag]
-
-
 def fit_quadratic(design: DesignMatrix, responses: ResponseTable,
-                  factor_names=None) -> list[QuadraticModel]:
+                  factor_names) -> list[QuadraticModel]:
     """Ordinary least squares of every response on the quadratic model.
 
     Solved with an orthogonal-factorization least-squares routine in
-    normalized factor units; deterministic. Raises SingularDesignError,
-    naming the linearly dependent columns, when the model matrix is rank
-    deficient.
+    normalized factor units; deterministic. Raises ValidationError when the
+    model matrix is rank deficient.
     """
-    if factor_names is None:
-        factor_names = tuple(f"X{i+1}" for i in range(design.n_factors))
     if len(factor_names) != design.n_factors:
         raise ValidationError("factor_names length != design factor count")
     if responses.n_points != design.n_points:
         raise ValidationError(
             f"{responses.n_points} response rows for {design.n_points} design points")
     a = model_matrix(design.points)
-    n_terms = a.shape[1]
-    if design.n_points < n_terms:
+    coefs, _, rank, _ = np.linalg.lstsq(a, responses.values, rcond=None)
+    if rank < a.shape[1]:
         raise ValidationError(
-            f"need >= {n_terms} design points for {design.n_factors} factors, "
-            f"got {design.n_points}")
-    rank = np.linalg.matrix_rank(a)
-    names = term_names(factor_names)
-    if rank < n_terms:
-        dependent = _dependent_columns(a, names, rank)
-        raise SingularDesignError(
-            f"design is rank deficient (rank {rank} < {n_terms}); "
-            f"dependent columns: {', '.join(dependent)}", dependent)
-    coefs, *_ = np.linalg.lstsq(a, responses.values, rcond=None)
+            f"design is rank deficient (rank {rank} < {a.shape[1]} terms)")
     residuals = responses.values - a @ coefs
     models = []
     for j, name in enumerate(responses.names):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -413,6 +414,44 @@ def _drop_a2(doc):
     return doc
 
 
+def _a2_copies_a1(doc):
+    for point in doc["design"]["points"]:
+        point[2] = point[1]
+    return doc
+
+
+def _halve_design(doc):
+    doc["design"]["points"] = [[0.5 * x for x in point]
+                               for point in doc["design"]["points"]]
+    return doc
+
+
+def _swap_roles(doc):
+    roles = doc["design"]["roles"]  # the last factorial run and the centre
+    roles[7], roles[8] = roles[8], roles[7]
+    return doc
+
+
+def _refused_after_edit(campaign_dir, capsys, stage, edit) -> str:
+    """Run the stages before `stage`, edit campaign.json, then run `stage`:
+    it must exit 2 with a message, writing nothing. Returns stderr."""
+    order = ("init", "design", "simulate", "fit", "optimize", "verify",
+             "report")
+    d = campaign_dir
+    run_pipeline(d, *order[:order.index(stage)])
+    doc = edit(json.loads((d / "campaign.json").read_text()))
+    (d / "campaign.json").write_text(json.dumps(doc))
+    before = sorted(d.rglob("*"))
+    raw = (d / "campaign.json").read_bytes()
+    capsys.readouterr()
+    assert cli_main(["--campaign", str(d), stage]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert sorted(d.rglob("*")) == before
+    assert (d / "campaign.json").read_bytes() == raw
+    return err
+
+
 class TestMalformedState:
     """A hand-edited campaign.json stops the next stage with exit 2 and a
     message, never a traceback or a campaign run on the wrong factors."""
@@ -509,21 +548,38 @@ class TestMalformedState:
     def test_later_stage_exits_2(self, tmp_path, capsys, stage, edit, message):
         # the edit goes into the state the stages before `stage` left; the
         # stage must stop before writing anything
-        order = ("init", "design", "simulate", "fit", "optimize", "verify",
-                 "report")
-        d = tmp_path / "camp"
-        run_pipeline(d, *order[:order.index(stage)])
-        doc = edit(json.loads((d / "campaign.json").read_text()))
-        (d / "campaign.json").write_text(json.dumps(doc))
-        before = sorted(d.rglob("*"))
-        raw = (d / "campaign.json").read_bytes()
-        capsys.readouterr()
-        assert cli_main(["--campaign", str(d), stage]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
-        assert "Traceback" not in err
-        assert sorted(d.rglob("*")) == before
-        assert (d / "campaign.json").read_bytes() == raw
+        assert message in _refused_after_edit(tmp_path / "camp", capsys,
+                                              stage, edit)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("keys, field", [
+        (("cup", "diameter"), "CupSpec.diameter"),
+        (("alpha",), "FactorSpace.alpha"),
+        (("target_height",), "CampaignConfig.target_height"),
+        (("surrogate", "k_d"), "SurrogateParams.k_d"),
+        (("surrogate", "base_height"), "SurrogateParams.base_height"),
+        (("material", "r0"), "MaterialAnisotropy.r0"),
+        (("material", "r45"), "MaterialAnisotropy.r45"),
+    ], ids=["cup-diameter", "alpha", "target", "k_d", "base_height", "r0",
+            "r45"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, keys, field,
+                                       value):
+        # a config is refused when it is read, not at the stage that
+        # first computes with the number
+        err = _refused_after_edit(tmp_path / "camp", capsys, "design",
+                                  _set(*keys, value=value))
+        assert f"{field} must be finite, got {value!r}" in err
+
+    @pytest.mark.parametrize("edit", [_a2_copies_a1, _halve_design,
+                                      _swap_roles],
+                             ids=["a2-copies-a1", "halved", "roles-swapped"])
+    def test_design_other_than_the_ccd_exits_2(self, tmp_path, capsys, edit):
+        # whatever its rank, a design that is not the config's CCD is
+        # refused before any run file is written
+        err = _refused_after_edit(tmp_path / "camp", capsys, "simulate", edit)
+        assert "design is not the central composite design" in err
+        assert not (tmp_path / "camp" / "runs").exists()
 
     def test_int_for_float_is_accepted(self, tmp_path):
         # an int where a float belongs is read as that float, so the next
@@ -771,6 +827,21 @@ class TestReports:
         summary = (reports / "summary.txt").read_text()
         assert "Optimal blank" in summary
         assert "reduction" in summary.lower()
+
+    def test_point_cloud_rim_is_refused(self, tmp_path, capsys):
+        # a run file swapped for a point cloud, its hash updated to match:
+        # the report plots polar rims only
+        d = tmp_path / "camp"
+        run_pipeline(d, "init", "design", "simulate")
+        cloud = b"x_mm,y_mm,z_mm\n1,2,3\n"
+        (d / "runs" / "run_09.csv").write_bytes(cloud)
+        doc = json.loads((d / "campaign.json").read_text())
+        doc["runs"][8]["sha256"] = hashlib.sha256(cloud).hexdigest()
+        (d / "campaign.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["--campaign", str(d), "report"]) == 2
+        err = capsys.readouterr().err
+        assert "runs/run_09.csv: expected header 'theta_rad,value_mm'" in err
 
     def test_report_is_deterministic(self, full_campaign):
         run = lambda: cli_main(["--campaign", str(full_campaign), "report"])

@@ -8,8 +8,8 @@ from earforge.errors import InvalidBlankError, ValidationError
 from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
                                blank_contour, deviation_vector,
                                ear_amplitude, initial_blank_diameter,
-                               quarter_nodes, read_contour_csv,
-                               read_rim_csv, uniform_theta, write_contour_csv)
+                               quarter_nodes, read_rim_csv, uniform_theta,
+                               write_contour_csv)
 
 
 def cosine_profile(n=144, mean=35.0, amplitudes=()):
@@ -158,8 +158,9 @@ class TestDeviationVector:
                                                        abs=1e-9)
 
     def test_target_validation(self):
-        with pytest.raises(ValidationError):
-            deviation_vector(cosine_profile(), 0.0)
+        for target in (0.0, math.nan, math.inf):
+            with pytest.raises(ValidationError, match="target height"):
+                deviation_vector(cosine_profile(), target)
 
 
 class TestContourTypes:
@@ -237,15 +238,16 @@ class TestContourCsv:
         profile = cosine_profile(amplitudes=[(2, 0.3), (4, 0.86)])
         path = tmp_path / "profile.csv"
         write_contour_csv(path, profile.theta, profile.height)
-        theta, values = read_contour_csv(path)
-        assert np.array_equal(theta, profile.theta)
-        assert np.array_equal(values, profile.height)
+        header, rows = read_rim_csv(path)
+        assert header == ("theta_rad", "value_mm")
+        assert np.array_equal(rows[:, 0], profile.theta)
+        assert np.array_equal(rows[:, 1], profile.height)
 
     def test_header_is_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("angle,height\n0.0,35.0\n")
         with pytest.raises(ValidationError):
-            read_contour_csv(path)
+            read_rim_csv(path)
 
     def test_line_endings_are_lf(self, tmp_path):
         path = tmp_path / "profile.csv"
@@ -295,14 +297,9 @@ class TestContourCsv:
     def test_header_only_file_has_no_rows(self, tmp_path):
         path = tmp_path / "rim.csv"
         path.write_text("theta_rad,value_mm\n\n")
-        theta, values = read_contour_csv(path)
-        assert theta.shape == values.shape == (0,)
-
-    def test_point_cloud_is_not_a_contour(self, tmp_path):
-        path = tmp_path / "cloud.csv"
-        path.write_text("x_mm,y_mm,z_mm\n1,2,3\n")
-        with pytest.raises(ValidationError, match="theta_rad,value_mm"):
-            read_contour_csv(path)
+        header, rows = read_rim_csv(path)
+        assert header == ("theta_rad", "value_mm")
+        assert rows.shape == (0, 2)
 
     @pytest.mark.parametrize("header,body,line,what", [
         ("x_mm,y_mm,z_mm", "1,2,3\n4,5\n", 3, "expected 3 fields, got 2"),

@@ -78,6 +78,7 @@ class CampaignConfig:
         # refuse now what simulate would refuse only after design
         modal.check_n_modes(self.n_modes)
         geometry.uniform_theta(self.n_points)
+        geometry.check_finite(self)
         if self.target_height <= 0:
             raise ValidationError(
                 f"target_height must be > 0, got {self.target_height}")
@@ -169,10 +170,59 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# the types of the JSON scalars, which json's C encoder formats
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+@functools.cache
+def _json_encoder(depth: int):
+    """json's C encoder for the items at nesting `depth`, and their pad.
+
+    Built here once, as json.JSONEncoder.encode would build it again on
+    every call, from that class's arguments for sort_keys=True and no
+    circular check: markers, default, string encoder, indent (unused by the
+    C code), key and item separators, sort_keys, skipkeys, allow_nan."""
+    pad = "\n" + "  " * depth
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", "," + pad, True, False, True), pad
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`, nested `depth` levels
+    deep, for a value whose dicts have string keys.
+
+    Python walks the nesting; each scalar, and each dict or list of scalars,
+    is formatted by json's C encoder, whose item separator carries the pad.
+    """
+    encode, pad = _json_encoder(depth + 1)
+    if isinstance(value, dict):
+        brackets, items = "{}", value.values()
+    elif isinstance(value, (list, tuple)):
+        brackets, items = "[]", value
+    else:  # a scalar, or a value json's default hook refuses
+        return encode(value, 0)[0]
+    if not value:
+        return brackets
+    if {*map(type, items)} <= _JSON_SCALARS:
+        text = encode(value, 0)[0][1:-1]
+    elif isinstance(value, dict):
+        text = ("," + pad).join([
+            json.encoder.encode_basestring_ascii(k) + ": "
+            + (encode(v, 0)[0] if type(v) in _JSON_SCALARS
+               else _json_text(v, depth + 1))
+            for k, v in sorted(value.items())])
+    else:
+        text = ("," + pad).join([
+            encode(v, 0)[0] if type(v) in _JSON_SCALARS
+            else _json_text(v, depth + 1) for v in value])
+    return brackets[0] + pad + text + pad[:-2] + brackets[1]
+
+
 def _write_json(path: Path, payload) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF line ends."""
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8", newline="\n")
+    path.write_text(_json_text(payload) + "\n", encoding="utf-8",
+                    newline="\n")
 
 
 def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str:
@@ -214,19 +264,39 @@ _ACCEPTS = {int: (int,), float: (int, float), str: (str,)}
 _hints = functools.cache(typing.get_type_hints)
 
 
+@functools.cache
+def _plan(cls) -> tuple[tuple[str, object, str, bool], ...]:
+    """Each field of dataclass `cls` as (name, annotation, where, scalar), in
+    field order: `where` names it in errors, and a scalar field (int, float
+    or str) is encoded and checked in place, without recursing."""
+    return tuple((name, t, f"{cls.__name__}.{name}", t in _ACCEPTS)
+                 for name, t in _hints(cls).items())
+
+
+@functools.cache
+def _shape(annotation) -> tuple[bool, object, tuple]:
+    """Whether `annotation` is a dataclass, and its typing origin and args."""
+    return (is_dataclass(annotation), typing.get_origin(annotation),
+            typing.get_args(annotation))
+
+
 def _encode(value):
     """JSON-ready form of a state value: a dataclass as a dict of its fields,
     tuples, lists and arrays as lists; the numbers inside are not walked."""
     if value is None or isinstance(value, (str, int, float)):
         return value
-    if is_dataclass(value):
-        return {name: _encode(getattr(value, name)) for name in _hints(type(value))}
     if isinstance(value, (tuple, list)):
         walk = value and is_dataclass(value[0])
         return [_encode(v) for v in value] if walk else list(value)
     if isinstance(value, np.ndarray):
         return value.tolist()
-    return dict(value) if isinstance(value, dict) else value
+    if isinstance(value, dict):
+        return dict(value)
+    if is_dataclass(value):
+        return {name: getattr(value, name) if scalar
+                else _encode(getattr(value, name))
+                for name, _, _, scalar in _plan(type(value))}
+    return value
 
 
 def _decode(annotation, value, where: str):
@@ -240,23 +310,34 @@ def _decode(annotation, value, where: str):
         if annotation is float and not math.isfinite(value):
             raise ValueError(f"{where} must be finite, got {value!r}")
         return annotation(value)
-    if is_dataclass(annotation) or annotation is dict:
+    dataclass, origin, args = _shape(annotation)
+    if dataclass or annotation is dict:
         if not isinstance(value, dict):
             raise TypeError(f"{where} must be an object, got {value!r}")
-        return dict(value) if annotation is dict else annotation(**{
-            name: _decode(t, value[name], f"{annotation.__name__}.{name}")
-            for name, t in _hints(annotation).items()})
+        if annotation is dict:
+            return dict(value)
+        kwargs = {}
+        for name, t, at, scalar in _plan(annotation):
+            v = value[name]
+            # a scalar of its exact type, and finite if a float, is read
+            # as is; any other goes through the checks above
+            if not scalar or type(v) is not t or (
+                    t is float and not math.isfinite(v)):
+                v = _decode(t, v, at)
+            kwargs[name] = v
+        return annotation(**kwargs)
     if annotation is np.ndarray:  # 1-D, or 2-D as a list of rows
         rows = isinstance(value, list) and value and isinstance(value[0], list)
         return np.array(_decode(list[list[float]] if rows else list[float],
                                 value, where), dtype=float)
-    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin is types.UnionType and len(args) == 2 and args[1] is type(None):
         return None if value is None else _decode(args[0], value, where)
     if origin is list and len(args) == 1 or origin is tuple and args[1:] == (...,):
         if not isinstance(value, list):
             raise TypeError(f"{where} must be a list, got {value!r}")
-        if args[0] in _ACCEPTS and all(type(v) is args[0] for v in value):
+        # a list of one scalar type, finite if float, is read as it is
+        if args[0] in _ACCEPTS and {*map(type, value)} <= {args[0]} and (
+                args[0] is not float or all(map(math.isfinite, value))):
             return origin(value)
         return origin(_decode(args[0], v, f"{where}[{i}]")
                       for i, v in enumerate(value))
@@ -310,13 +391,15 @@ def _check_sizes(state: CampaignState) -> None:
 
 
 def state_to_dict(state: CampaignState) -> dict:
-    d = _encode(state)
     # schema 1's layout: a flat config, models and optimum as in their files
+    d = {name: _encode(getattr(state, name))
+         for name, *_ in _plan(CampaignState)
+         if name not in ("models", "optimum")}
     d["config"].update(d["config"].pop("space"))
-    if state.models is not None:
-        d["models"] = _models_to_dict(state.models)
-    if state.optimum is not None:
-        d["optimum"] = _optimum_to_dict(state.optimum, state.config.space)
+    d["models"] = (None if state.models is None
+                   else _models_to_dict(state.models))
+    d["optimum"] = (None if state.optimum is None
+                    else _optimum_to_dict(state.optimum, state.config.space))
     return {"schema_version": SCHEMA_VERSION, **d}
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,15 @@ DEFAULT_N_POINTS = 144
 
 #: Nodes of the quarter-domain deviation vector (35 equal-length elements).
 QUARTER_NODES = 36
+
+
+def check_finite(spec) -> None:
+    """Refuse a dataclass with a NaN or infinite float field, naming it."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{type(spec).__name__}.{f.name} must be "
+                                  f"finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -54,6 +64,7 @@ class CupSpec:
     height: float    # mm
 
     def __post_init__(self):
+        check_finite(self)
         if self.diameter <= 0 or self.height < 0:
             raise ValidationError("cup diameter must be > 0 and height >= 0")
 
@@ -160,16 +171,23 @@ CLOUD_HEADER = ("x_mm", "y_mm", "z_mm")
 _LOADTXT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
+@functools.lru_cache(maxsize=8)
+def _angle_cells(theta: bytes) -> tuple[str, ...]:
+    """The `repr(t) + ","` cell of each angle of a grid, keyed on its bytes:
+    a campaign writes every rim on one grid, so it formats the grid once."""
+    return tuple(f"{t!r}," for t in np.frombuffer(theta).tolist())
+
+
 def write_contour_csv(path, theta: np.ndarray, values: np.ndarray) -> bytes:
     """Write a contour/profile as CSV: header `theta_rad,value_mm`, LF endings.
 
     Each value is written as its shortest round-tripping repr, so the file
     reads back bit for bit. Returns the bytes written.
     """
-    theta = np.asarray(theta, dtype=float).tolist()
+    cells = _angle_cells(np.asarray(theta, dtype=float).tobytes())
     values = np.asarray(values, dtype=float).tolist()
-    body = "".join(f"{t!r},{v!r}\n" for t, v in zip(theta, values))
-    data = (",".join(POLAR_HEADER) + "\n" + body).encode("utf-8")
+    rows = map(operator.add, cells, map(float.__repr__, values))
+    data = "\n".join([",".join(POLAR_HEADER), *rows, ""]).encode("utf-8")
     Path(path).write_bytes(data)
     return data
 

@@ -28,6 +28,7 @@ class MaterialAnisotropy:
     r90: float
 
     def __post_init__(self):
+        geometry.check_finite(self)
         if min(self.r0, self.r45, self.r90) <= 0:
             raise ValidationError("Lankford coefficients must be > 0")
 
@@ -65,6 +66,7 @@ class SurrogateParams:
     c8: float = -0.05             # fixed cos(8θ) residual amplitude, mm
 
     def __post_init__(self):
+        geometry.check_finite(self)
         if self.ref_diameter <= 0 or self.base_height <= 0:
             raise ValidationError("ref_diameter and base_height must be > 0")
 

@@ -23,7 +23,9 @@ def _svg(elements: list[str], width: int = _W, height: int = _H) -> str:
 
 
 def _polyline(xs, ys, color: str, width: float = 1.5, closed: bool = False) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+    # one C-level format per point; "%.3f" prints as _fmt does
+    pts = " ".join(map("%.3f,%.3f".__mod__,
+                       zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())))
     tag = "polygon" if closed else "polyline"
     return (f'<{tag} points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')

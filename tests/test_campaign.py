@@ -17,8 +17,10 @@ from earforge import campaign as cp
 from earforge import modal
 from earforge.cli import cli_main
 from earforge.errors import (CampaignLockedError, FreshStateError,
-                             MigrationNeededError, StateIntegrityError)
-from earforge.geometry import BlankSpec, uniform_theta, write_contour_csv
+                             MigrationNeededError, StateIntegrityError,
+                             ValidationError)
+from earforge.geometry import (BlankSpec, CupSpec, uniform_theta,
+                               write_contour_csv)
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
 
@@ -540,11 +542,23 @@ class TestMalformedState:
          "verification.optimum_lambdas holds 2 entries, not n_modes = 5"),
         ("report", _put("verification", "baseline_lambdas", value=[0.1]),
          "verification.baseline_lambdas holds 1 entries, not n_modes = 5"),
+        ("simulate", _put("design", "points", 0, 0, value=math.nan),
+         "DesignMatrix.points[0][0] must be finite, got nan"),
+        ("fit", _put("runs", 0, "lambdas", 0, value=math.nan),
+         "RunRecord.lambdas[0] must be finite, got nan"),
+        ("optimize", _put("models", "L1", "coefficients", "D",
+                          value=-math.inf),
+         "QuadraticModel.coefficients[1] must be finite, got -inf"),
+        ("report", _put("verification", "optimum_lambdas", 1,
+                        value=math.inf),
+         "VerificationRecord.optimum_lambdas[1] must be finite, got inf"),
     ], ids=["design-point-is-str", "run-lambda-is-str", "run-lambda-is-bool",
             "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
             "no-model-L5", "model-factors", "optimum-point-is-str",
             "optimum-physical-is-str", "no-predicted-L5",
-            "verified-has-2-lambdas", "baseline-has-1-lambda"])
+            "verified-has-2-lambdas", "baseline-has-1-lambda",
+            "design-point-is-nan", "run-lambda-is-nan",
+            "coefficient-is-inf", "verified-lambda-is-inf"])
     def test_later_stage_exits_2(self, tmp_path, capsys, stage, edit, message):
         # the edit goes into the state the stages before `stage` left; the
         # stage must stop before writing anything
@@ -601,6 +615,131 @@ class TestMalformedState:
         state = cp.load_state(tmp_path / "int")
         assert type(state.config.target_height) is float
         assert type(state.runs[0].lambdas[0]) is float
+
+
+def dumps_reference(payload) -> bytes:
+    """The bytes _write_json must write: Python's own indented encoder."""
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+# JSON scalars a state or a hand-made payload can hold, the odd ones included
+_ODD_SCALARS = [-0.0, 0.0, 5e-324, 1e16, 1e-7, 1 / 3, -1e308, math.nan,
+                math.inf, -math.inf, True, False, None, 0, -7, 2 ** 63,
+                -(2 ** 64) - 1, 10 ** 30, "", 'say "hi"', "back\\slash",
+                "ctl\x00\x01\x1f\t\n\r\x7f",
+                "non-ASCII: \u00e9\u2713\U0001d11e", "</svg>"]
+
+
+def random_payload(rng, depth):
+    """A seeded nested payload: dicts (string keys), lists and tuples of the
+    odd scalars and of random numbers, empty containers among them."""
+    kind = rng.integers(6) if depth > 0 else 0
+    if kind == 0:
+        pick = rng.integers(len(_ODD_SCALARS) + 2)
+        if pick == len(_ODD_SCALARS):
+            return float(rng.normal() * 10.0 ** rng.integers(-12, 12))
+        if pick == len(_ODD_SCALARS) + 1:
+            return int(rng.integers(-10 ** 9, 10 ** 9))
+        return _ODD_SCALARS[pick]
+    size = int(rng.integers(0, 6))
+    items = [random_payload(rng, depth - 1) for _ in range(size)]
+    if kind == 1:
+        return tuple(items)
+    if kind <= 3:
+        return items
+    keys = [str(k) for k in _ODD_SCALARS[-6:]] + ["a", "B", "L10", "L2"]
+    return {str(rng.choice(keys)) + str(i): v for i, v in enumerate(items)}
+
+
+class TestJsonWriter:
+    """_write_json writes what json.dumps(indent=2, sort_keys=True) writes."""
+
+    def check(self, tmp_path, payload):
+        cp._write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == dumps_reference(payload)
+
+    def test_every_stage_and_side_file(self, tmp_path):
+        d = tmp_path / "camp"
+        state = cp.init_campaign(d)
+        for stage in (cp.design_campaign, cp.simulate_campaign,
+                      cp.fit_campaign, cp.optimize_campaign,
+                      cp.verify_campaign):
+            self.check(tmp_path, cp.state_to_dict(state))
+            state = stage(state, d)
+        self.check(tmp_path, cp.state_to_dict(state))
+        self.check(tmp_path, cp._models_to_dict(state.models))
+        self.check(tmp_path, cp._optimum_to_dict(state.optimum,
+                                                 state.config.space))
+        assert (d / "models.json").read_bytes() == dumps_reference(
+            cp._models_to_dict(state.models))
+        assert (d / "optimum.json").read_bytes() == dumps_reference(
+            cp._optimum_to_dict(state.optimum, state.config.space))
+
+    @pytest.mark.parametrize("name", ["configured", "verified",
+                                      "verified_not_applicable"])
+    def test_frozen_schema_1_states(self, tmp_path, name):
+        raw = (SCHEMA1 / f"{name}.json").read_bytes()
+        state = cp.state_from_dict(json.loads(raw))
+        cp.save_state(state, tmp_path)
+        assert (tmp_path / "campaign.json").read_bytes() == raw
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_random_payloads(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        depths = []
+        for _ in range(60):
+            payload = random_payload(rng, int(rng.integers(1, 7)))
+            self.check(tmp_path, payload)
+            depths.append(_depth(payload))
+        assert max(depths) >= 4
+
+    def test_deep_odd_payload(self, tmp_path):
+        leaf = {str(v): v for v in _ODD_SCALARS}
+        payload = {"x": [leaf, (list(leaf.values()), [], {}), {"y": [[leaf]]}],
+                   "": [{}, [[]], ()], "z": tuple(_ODD_SCALARS)}
+        assert _depth(payload) >= 4
+        self.check(tmp_path, payload)
+        self.check(tmp_path, leaf)
+        for scalar in _ODD_SCALARS:
+            self.check(tmp_path, scalar)
+            self.check(tmp_path, [scalar, [scalar]])
+
+
+def _depth(payload) -> int:
+    """Nesting depth: 0 for a scalar, 1 + the deepest item for a container."""
+    if isinstance(payload, dict):
+        payload = list(payload.values())
+    if not isinstance(payload, (list, tuple)):
+        return 0
+    return 1 + max(map(_depth, payload), default=0)
+
+
+class TestNonFiniteConfig:
+    """A library config with a NaN or infinite number is refused when it is
+    made, so init_campaign never writes NaN or Infinity to campaign.json."""
+
+    @pytest.mark.parametrize("make, field, value", [
+        (lambda: dataclasses.replace(cp.default_config(),
+                                     cup=CupSpec(math.nan, 35.0)),
+         "CupSpec.diameter", math.nan),
+        (lambda: dataclasses.replace(cp.default_config(),
+                                     target_height=math.inf),
+         "CampaignConfig.target_height", math.inf),
+        (lambda: dataclasses.replace(
+            cp.default_config(), surrogate=SurrogateParams(k_d=math.nan)),
+         "SurrogateParams.k_d", math.nan),
+        (lambda: dataclasses.replace(
+            cp.default_config(),
+            material=MaterialAnisotropy(r0=math.nan, r45=1.56, r90=2.72)),
+         "MaterialAnisotropy.r0", math.nan),
+    ], ids=["cup-diameter-nan", "target-inf", "k_d-nan", "r0-nan"])
+    def test_init_campaign_writes_nothing(self, tmp_path, make, field, value):
+        d = tmp_path / "camp"
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{field} must be finite, "
+                                           f"got {value!r}")):
+            cp.init_campaign(d, make())
+        assert not (d / "campaign.json").exists()
 
 
 def _annotation_nodes(annotation):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from earforge import geometry
 from earforge.errors import InvalidBlankError, ValidationError
 from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
                                blank_contour, deviation_vector,
@@ -274,6 +275,23 @@ class TestContourCsv:
         raw = (tmp_path / "new.csv").read_bytes()
         assert raw == (tmp_path / "ref.csv").read_bytes()
         assert raw.startswith(b"theta_rad,value_mm\n1e+16,-0.0\n")
+
+    def test_bytes_match_csv_writer_when_grids_alternate(self, tmp_path):
+        # the angle cells are formatted once per grid and kept: every grid,
+        # each one again after others pushed it out, must still write the
+        # reference bytes (the same sample count on another grid included)
+        rng = np.random.default_rng(11)
+        skewed = np.sort(rng.uniform(0.0, 2.0 * np.pi, 144))
+        grids = [uniform_theta(8), uniform_theta(144), uniform_theta(2000),
+                 skewed, uniform_theta(144)[::-1]]
+        held = geometry._angle_cells.cache_info().maxsize
+        grids += [uniform_theta(4 * k) + 1e-3 * k for k in range(3, held + 6)]
+        for theta in grids * 2 + grids[:5]:
+            values = 35.0 + rng.normal(0.0, 1.0, theta.size)
+            data = write_contour_csv(tmp_path / "new.csv", theta, values)
+            csv_writer_reference(tmp_path / "ref.csv", theta, values)
+            assert data == (tmp_path / "ref.csv").read_bytes()
+            assert (tmp_path / "new.csv").read_bytes() == data
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("blank_every,quote_every", [(0, 0), (7, 0), (0, 5),

@@ -227,8 +227,7 @@ def _write_json(path: Path, payload) -> None:
 
 def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str:
     """Write a rim profile into the campaign; returns the file's sha256."""
-    return _sha256(geometry.write_contour_csv(campaign_dir / rel, profile.theta,
-                                              profile.height))
+    return _sha256(geometry.write_contour_csv(campaign_dir / rel, profile))
 
 
 @contextlib.contextmanager
@@ -463,7 +462,7 @@ def load_state(campaign_dir) -> CampaignState:
             f"`earforge --campaign {campaign_dir} init` first")
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
         raise StateIntegrityError(f"{path} is not valid JSON: {exc}") from exc
     try:
         state = state_from_dict(d)

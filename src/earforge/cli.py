@@ -71,11 +71,12 @@ def _cmd_decompose(args) -> int:
     profile = plant.ingest_profile(args.profile)
     coords = modal.decompose(profile, args.target,
                              modal.build_modal_basis(n_modes=args.modes))
+    text = modal.coordinates_text(coords)
     if args.output:
-        modal.write_coordinates_csv(args.output, coords)
+        Path(args.output).write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {args.output}")
     else:
-        print(modal._coordinates_text(coords), end="")
+        print(text, end="")
     return EXIT_OK
 
 

@@ -29,7 +29,7 @@ def check_finite(spec) -> None:
     """Refuse a dataclass with a NaN or infinite float field, naming it."""
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
+        if isinstance(value, (float, np.floating)) and not math.isfinite(value):
             raise ValidationError(f"{type(spec).__name__}.{f.name} must be "
                                   f"finite, got {value!r}")
 
@@ -43,8 +43,7 @@ class BlankSpec:
     a2: float = 0.0  # four-lobe amplitude, mm
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.diameter, self.a1, self.a2)):
-            raise ValidationError("blank parameters must be finite")
+        check_finite(self)
         if self.diameter <= 0:
             raise ValidationError(f"blank diameter must be > 0, got {self.diameter}")
 
@@ -133,32 +132,28 @@ def ear_amplitude(profile: ContourProfile) -> float:
     return float(np.max(profile.height) - np.min(profile.height))
 
 
-def quarter_nodes(n_nodes: int = QUARTER_NODES) -> np.ndarray:
-    """Node angles of the quarter domain: theta_k = (pi/2) * k/(n_nodes-1)."""
-    return (np.pi / 2.0) * np.arange(n_nodes) / (n_nodes - 1)
+def quarter_nodes() -> np.ndarray:
+    """Node angles of the quarter domain: theta_k = (pi/2) * k/(QUARTER_NODES-1)."""
+    return (np.pi / 2.0) * np.arange(QUARTER_NODES) / (QUARTER_NODES - 1)
 
 
-def deviation_vector(profile: ContourProfile, target_height: float,
-                     n_nodes: int = QUARTER_NODES) -> np.ndarray:
+def deviation_vector(profile: ContourProfile, target_height: float) -> np.ndarray:
     """Per-node clearance between the rim profile and the target height.
 
     The profile is restricted to the quarter period [0, pi/2] (the part and
-    its defects carry two mirror symmetry planes) and resampled to `n_nodes`
-    equally spaced nodes. Samples landing exactly on nodes are taken as-is;
-    otherwise values are linearly interpolated.
+    its defects carry two mirror symmetry planes) and resampled to the
+    QUARTER_NODES equally spaced nodes. Samples landing exactly on nodes are
+    taken as-is; otherwise values are linearly interpolated.
 
     Returns
     -------
     np.ndarray
-        height(node_k) - target_height for k = 0 .. n_nodes-1, mm.
+        height(node_k) - target_height for k = 0 .. QUARTER_NODES-1, mm.
     """
     if not 0 < target_height < math.inf:
         raise ValidationError(
             f"target height must be finite and > 0, got {target_height}")
-    if n_nodes < 2:
-        raise ValidationError(f"need at least 2 quarter nodes, got {n_nodes}")
-    nodes = quarter_nodes(n_nodes)
-    values = np.interp(nodes, profile.theta, profile.height)
+    values = np.interp(quarter_nodes(), profile.theta, profile.height)
     return values - target_height
 
 
@@ -172,21 +167,20 @@ _LOADTXT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
 @functools.lru_cache(maxsize=8)
-def _angle_cells(theta: bytes) -> tuple[str, ...]:
-    """The `repr(t) + ","` cell of each angle of a grid, keyed on its bytes:
-    a campaign writes every rim on one grid, so it formats the grid once."""
-    return tuple(f"{t!r}," for t in np.frombuffer(theta).tolist())
+def _angle_cells(n_points: int) -> tuple[str, ...]:
+    """The `repr(t) + ","` cell of each angle of the n_points grid: a
+    campaign writes every rim on one grid, so it formats the grid once."""
+    return tuple(f"{t!r}," for t in uniform_theta(n_points).tolist())
 
 
-def write_contour_csv(path, theta: np.ndarray, values: np.ndarray) -> bytes:
-    """Write a contour/profile as CSV: header `theta_rad,value_mm`, LF endings.
+def write_contour_csv(path, profile: ContourProfile) -> bytes:
+    """Write a rim profile as CSV: header `theta_rad,value_mm`, LF endings.
 
-    Each value is written as its shortest round-tripping repr, so the file
-    reads back bit for bit. Returns the bytes written.
+    Each angle and height is written as its shortest round-tripping repr, so
+    the file reads back bit for bit. Returns the bytes written.
     """
-    cells = _angle_cells(np.asarray(theta, dtype=float).tobytes())
-    values = np.asarray(values, dtype=float).tolist()
-    rows = map(operator.add, cells, map(float.__repr__, values))
+    cells = _angle_cells(profile.height.size)
+    rows = map(operator.add, cells, map(float.__repr__, profile.height.tolist()))
     data = "\n".join([",".join(POLAR_HEADER), *rows, ""]).encode("utf-8")
     Path(path).write_bytes(data)
     return data
@@ -220,18 +214,22 @@ def read_rim_csv(path) -> tuple[tuple[str, ...], np.ndarray]:
     The header must be POLAR_HEADER or CLOUD_HEADER; k is its field count.
     Every other non-blank line must hold k finite numbers, optionally
     double-quoted. Blank lines are skipped; LF, CRLF and CR endings are
-    accepted, as is a leading UTF-8 byte-order mark. Anything else raises
-    ValidationError naming the file line.
+    accepted, as is a leading UTF-8 byte-order mark. Anything else, text that
+    is not UTF-8 included, raises ValidationError naming the file (and the
+    line, where it has one).
     """
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8-sig") as fh:
-        header = tuple(c.strip() for c in
-                       next(csv.reader([fh.readline()]), []))
-        if header not in (POLAR_HEADER, CLOUD_HEADER):
-            raise ValidationError(
-                f"{path}: unknown header {list(header)}; expected "
-                f"'{','.join(POLAR_HEADER)}' or '{','.join(CLOUD_HEADER)}'")
-        lines = fh.readlines()
+    try:
+        with path.open("r", newline="", encoding="utf-8-sig") as fh:
+            header = tuple(c.strip() for c in
+                           next(csv.reader([fh.readline()]), []))
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if header not in (POLAR_HEADER, CLOUD_HEADER):
+        raise ValidationError(
+            f"{path}: unknown header {list(header)}; expected "
+            f"'{','.join(POLAR_HEADER)}' or '{','.join(CLOUD_HEADER)}'")
     n_fields = len(header)
     if not any(line.strip("\r\n") for line in lines):
         # header only: loadtxt would warn that the input holds no data

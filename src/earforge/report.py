@@ -12,22 +12,21 @@ def _fmt(v: float) -> str:
     return f"{v:.3f}"
 
 
-def _svg(elements: list[str], width: int = _W, height: int = _H) -> str:
+def _svg(elements: list[str]) -> str:
     body = "\n".join(elements)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">\n'
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>\n'
+        f'width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">\n'
+        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>\n'
         f"{body}\n</svg>\n"
     )
 
 
-def _polyline(xs, ys, color: str, width: float = 1.5, closed: bool = False) -> str:
+def _polyline(xs, ys, color: str, width: float = 1.5) -> str:
     # one C-level format per point; "%.3f" prints as _fmt does
     pts = " ".join(map("%.3f,%.3f".__mod__,
                        zip(np.asarray(xs).tolist(), np.asarray(ys).tolist())))
-    tag = "polygon" if closed else "polyline"
-    return (f'<{tag} points="{pts}" fill="none" stroke="{color}" '
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
 
 

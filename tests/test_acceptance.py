@@ -120,10 +120,10 @@ def test_criterion_3_influence_structure(reference_models):
 def test_criterion_4_modal_basis_fidelity(basis36):
     """Chain eigenvectors match analytic cosines; rigid mode; orthogonality."""
     worst_shape = max(
-        float(np.max(np.abs(basis36.modes[:, k - 1] - analytic_mode(k, 36))))
+        float(np.max(np.abs(basis36.modes[:, k - 1] - analytic_mode(k))))
         for k in range(1, 6))
     ratio = basis36.pulsations[0] / basis36.pulsations[1]
-    m = lumped_mass_diagonal(36)
+    m = lumped_mass_diagonal()
     gram = basis36.modes.T @ (m[:, None] * basis36.modes)
     norms = np.linalg.norm(basis36.modes, axis=0)
     worst_ortho = max(

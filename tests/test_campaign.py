@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import io
@@ -19,8 +20,8 @@ from earforge.cli import cli_main
 from earforge.errors import (CampaignLockedError, FreshStateError,
                              MigrationNeededError, StateIntegrityError,
                              ValidationError)
-from earforge.geometry import (BlankSpec, CupSpec, uniform_theta,
-                               write_contour_csv)
+from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
+                               uniform_theta, write_contour_csv)
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
 
@@ -153,7 +154,7 @@ class TestCliLifecycle:
 class TestDecompose:
     def test_flat_profile_decomposes_to_zero(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
-        write_contour_csv(path, uniform_theta(144), np.full(144, 35.0))
+        write_contour_csv(path, ContourProfile(np.full(144, 35.0)))
         assert cli_main(["decompose", str(path), "--target", "35"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "mode,lambda_mm"
@@ -161,16 +162,24 @@ class TestDecompose:
         assert np.allclose(lambdas, 0.0, atol=1e-12)
         assert float(out[6].split(",")[1]) == 0.0
 
-    def test_output_file(self, tmp_path):
-        from earforge.modal import read_coordinates_csv
+    def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "flat.csv"
-        write_contour_csv(path, uniform_theta(144), np.full(144, 34.0))
+        write_contour_csv(path, ContourProfile(np.full(144, 34.0)))
         out = tmp_path / "coords.csv"
         assert cli_main(["decompose", str(path), "--target", "35",
                          "--output", str(out)]) == 0
-        coords = read_coordinates_csv(out)
-        assert coords.lambdas[0] == pytest.approx(-1.0, abs=1e-9)
-        assert np.allclose(coords.lambdas[1:], 0.0, atol=1e-9)
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        with out.open(newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["mode", "lambda_mm"]
+        assert [r[0] for r in rows[1:]] == ["1", "2", "3", "4", "5", "residue"]
+        lambdas = [float(r[1]) for r in rows[1:-1]]
+        assert lambdas[0] == pytest.approx(-1.0, abs=1e-9)
+        assert np.allclose(lambdas[1:], 0.0, atol=1e-9)
+        assert float(rows[-1][1]) == pytest.approx(0.0, abs=1e-9)
+        # the file holds exactly what the same call prints without --output
+        assert cli_main(["decompose", str(path), "--target", "35"]) == 0
+        assert out.read_bytes() == capsys.readouterr().out.encode("utf-8")
 
     def test_missing_file_is_validation_error(self, tmp_path):
         assert cli_main(["decompose", str(tmp_path / "nope.csv")]) == 2
@@ -209,7 +218,7 @@ class TestParserReuse:
     @pytest.fixture()
     def flat(self, tmp_path):
         path = tmp_path / "flat.csv"
-        write_contour_csv(path, uniform_theta(144), np.full(144, 35.0))
+        write_contour_csv(path, ContourProfile(np.full(144, 35.0)))
         return str(path)
 
     def test_no_state_leaks_between_calls(self, flat, capsys):
@@ -477,15 +486,19 @@ class TestMalformedState:
         (_set("target_height", value=-1.0), "target_height must be > 0"),
         (_set("target_height", value=10 ** 400),
          "malformed state: int too large to convert to float"),
+        (lambda doc: b"\xff\xfe{", "campaign.json is not valid JSON"),
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
             "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
             "k_d-is-str", "target-is-bool", "n_modes-1", "n_modes-37",
-            "n_points-10", "target-negative", "target-past-float"])
+            "n_points-10", "target-negative", "target-past-float",
+            "not-utf8"])
     def test_design_exits_2(self, tmp_path, capsys, edit, message):
+        # `edit` returns the new document, or the file's raw bytes
         d = tmp_path / "camp"
         run_pipeline(d, "init")
         doc = edit(json.loads((d / "campaign.json").read_text()))
-        (d / "campaign.json").write_text(json.dumps(doc))
+        raw = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        (d / "campaign.json").write_bytes(raw)
         capsys.readouterr()
         assert cli_main(["--campaign", str(d), "design"]) == 2
         err = capsys.readouterr().err
@@ -820,28 +833,34 @@ def flat_rim(cloud=False):
 
 
 def bad_rim(case):
-    """(file text, 1-based line of the fault, what the error says)."""
+    """(file bytes, what the error says after the file name)."""
     polar = ["theta_rad,value_mm"] + flat_rim()
     cloud = ["x_mm,y_mm,z_mm"] + flat_rim(cloud=True)
+    encoding = "utf-8"
     if case == "cloud_row_of_2":
         cloud[6] = "1.0,2.0"
-        lines, line, what = cloud, 7, "expected 3 fields, got 2"
+        lines, what = cloud, "line 7: expected 3 fields, got 2"
     elif case == "polar_row_of_1":
         polar[4] = "0.9"
-        lines, line, what = polar, 5, "expected 2 fields, got 1"
+        lines, what = polar, "line 5: expected 2 fields, got 1"
     elif case == "polar_rows_of_3":
         polar[1:] = [row + ",7.5" for row in polar[1:]]
-        lines, line, what = polar, 2, "expected 2 fields, got 3"
+        lines, what = polar, "line 2: expected 2 fields, got 3"
     elif case == "nan_angle":
-        lines, line, what = polar + ["nan,35"], 18, "non-finite"
-    else:  # "inf_height"
+        lines, what = polar + ["nan,35"], "line 18: non-finite"
+    elif case == "inf_height":
         polar[9] = "1.2,inf"
-        lines, line, what = polar, 10, "non-finite"
-    return "\n".join(lines) + "\n", line, what
+        lines, what = polar, "line 10: non-finite"
+    elif case == "byte_0xff":  # a Latin-1 or stray byte in one row
+        polar[3] += "\xff"
+        lines, what, encoding = polar, "not UTF-8 text", "latin-1"
+    else:  # "utf16": a spreadsheet's "Unicode text" export
+        lines, what, encoding = polar, "not UTF-8 text", "utf-16"
+    return ("\n".join(lines) + "\n").encode(encoding), what
 
 
 BAD_RIMS = ["cloud_row_of_2", "polar_row_of_1", "polar_rows_of_3",
-            "nan_angle", "inf_height"]
+            "nan_angle", "inf_height", "byte_0xff", "utf16"]
 
 
 def off_turn_rim(case):
@@ -872,11 +891,12 @@ class TestBadRimFiles:
 
     @pytest.mark.parametrize("case", BAD_RIMS)
     def test_decompose_exits_2_naming_the_line(self, tmp_path, capsys, case):
-        text, line, what = bad_rim(case)
+        data, what = bad_rim(case)
         path = tmp_path / "rim.csv"
-        path.write_text(text)
+        path.write_bytes(data)
         assert cli_main(["decompose", str(path)]) == 2
-        assert f"rim.csv: line {line}: {what}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"rim.csv: {what}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("case", BAD_RIMS)
     def test_ingest_exits_2_naming_the_line(self, tmp_path, capsys, case):
@@ -884,12 +904,13 @@ class TestBadRimFiles:
         run_pipeline(d, "init", "design")
         external = tmp_path / "external"
         external.mkdir()
-        text, line, what = bad_rim(case)
-        (external / "run_01.csv").write_text(text)
+        data, what = bad_rim(case)
+        (external / "run_01.csv").write_bytes(data)
         capsys.readouterr()
         assert cli_main(["--campaign", str(d), "simulate",
                          "--ingest-dir", str(external)]) == 2
-        assert f"run_01.csv: line {line}: {what}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"run_01.csv: {what}" in err and "Traceback" not in err
         assert cp.load_state(d).stage == "designed"
 
     @pytest.mark.parametrize("case", OFF_TURN_RIMS)

@@ -57,8 +57,14 @@ class TestBlankContour:
     def test_blank_spec_validation(self):
         with pytest.raises(ValidationError):
             BlankSpec(0.0)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="BlankSpec.diameter must be "
+                                                  "finite, got nan"):
             BlankSpec(float("nan"))
+        with pytest.raises(ValidationError, match="BlankSpec.a2 must be "
+                                                  "finite, got -inf"):
+            BlankSpec(117.0, a2=-math.inf)
+        with pytest.raises(ValidationError, match="BlankSpec.a1 must be finite"):
+            BlankSpec(117.0, a1=np.float32("nan"))
 
 
 class TestInitialBlankDiameter:
@@ -238,7 +244,7 @@ class TestContourCsv:
     def test_roundtrip_is_exact(self, tmp_path):
         profile = cosine_profile(amplitudes=[(2, 0.3), (4, 0.86)])
         path = tmp_path / "profile.csv"
-        write_contour_csv(path, profile.theta, profile.height)
+        write_contour_csv(path, profile)
         header, rows = read_rim_csv(path)
         assert header == ("theta_rad", "value_mm")
         assert np.array_equal(rows[:, 0], profile.theta)
@@ -252,7 +258,7 @@ class TestContourCsv:
 
     def test_line_endings_are_lf(self, tmp_path):
         path = tmp_path / "profile.csv"
-        write_contour_csv(path, np.array([0.0, 1.0]), np.array([35.0, 36.0]))
+        write_contour_csv(path, ContourProfile(np.full(8, 35.0)))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"theta_rad,value_mm\n")
@@ -261,35 +267,31 @@ class TestContourCsv:
     def test_bytes_match_csv_writer_on_seeded_profiles(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
         n = 4 * int(rng.integers(2, 600))
-        theta = uniform_theta(n)
         values = 35.0 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 2, n)
-        data = write_contour_csv(tmp_path / "new.csv", theta, values)
-        csv_writer_reference(tmp_path / "ref.csv", theta, values)
+        data = write_contour_csv(tmp_path / "new.csv", ContourProfile(values))
+        csv_writer_reference(tmp_path / "ref.csv", uniform_theta(n), values)
         assert data == (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
 
     def test_bytes_match_csv_writer_on_edge_values(self, tmp_path):
         edge = np.array([-0.0, 5e-324, 1e308, 1 / 3, -1e308, 0.0, 1e-7, 1e16])
-        write_contour_csv(tmp_path / "new.csv", edge[::-1], edge)
-        csv_writer_reference(tmp_path / "ref.csv", edge[::-1], edge)
+        write_contour_csv(tmp_path / "new.csv", ContourProfile(edge))
+        csv_writer_reference(tmp_path / "ref.csv", uniform_theta(8), edge)
         raw = (tmp_path / "new.csv").read_bytes()
         assert raw == (tmp_path / "ref.csv").read_bytes()
-        assert raw.startswith(b"theta_rad,value_mm\n1e+16,-0.0\n")
+        assert raw.startswith(b"theta_rad,value_mm\n0.0,-0.0\n")
 
     def test_bytes_match_csv_writer_when_grids_alternate(self, tmp_path):
-        # the angle cells are formatted once per grid and kept: every grid,
-        # each one again after others pushed it out, must still write the
-        # reference bytes (the same sample count on another grid included)
+        # the angle cells are formatted once per sample count and kept: every
+        # count, each one again after others pushed it out, must still write
+        # the reference bytes
         rng = np.random.default_rng(11)
-        skewed = np.sort(rng.uniform(0.0, 2.0 * np.pi, 144))
-        grids = [uniform_theta(8), uniform_theta(144), uniform_theta(2000),
-                 skewed, uniform_theta(144)[::-1]]
         held = geometry._angle_cells.cache_info().maxsize
-        grids += [uniform_theta(4 * k) + 1e-3 * k for k in range(3, held + 6)]
-        for theta in grids * 2 + grids[:5]:
-            values = 35.0 + rng.normal(0.0, 1.0, theta.size)
-            data = write_contour_csv(tmp_path / "new.csv", theta, values)
-            csv_writer_reference(tmp_path / "ref.csv", theta, values)
+        counts = [8, 144, 2000] + [4 * k for k in range(3, held + 6)]
+        for n in counts * 2 + counts[:3]:
+            values = 35.0 + rng.normal(0.0, 1.0, n)
+            data = write_contour_csv(tmp_path / "new.csv", ContourProfile(values))
+            csv_writer_reference(tmp_path / "ref.csv", uniform_theta(n), values)
             assert data == (tmp_path / "ref.csv").read_bytes()
             assert (tmp_path / "new.csv").read_bytes() == data
 

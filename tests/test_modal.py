@@ -4,9 +4,8 @@ import pytest
 from earforge.errors import ValidationError
 from earforge.geometry import ContourProfile, deviation_vector, uniform_theta
 from earforge.modal import (ModalBasis, ModalCoordinates, analytic_mode,
-                            build_modal_basis, decompose, lumped_mass_diagonal,
-                            project, read_coordinates_csv,
-                            write_coordinates_csv)
+                            build_modal_basis, coordinates_text, decompose,
+                            lumped_mass_diagonal, project)
 
 
 def normal_equations_fit(q, v):
@@ -31,7 +30,7 @@ class TestBasisConstruction:
 
     def test_mass_orthogonality(self, basis36):
         q = basis36.modes
-        m = lumped_mass_diagonal(basis36.n_nodes)
+        m = lumped_mass_diagonal()
         gram = q.T @ (m[:, None] * q)
         norms = np.linalg.norm(q, axis=0)
         for i in range(q.shape[1]):
@@ -41,23 +40,20 @@ class TestBasisConstruction:
 
     def test_modes_match_analytic_cosines(self, basis36):
         for k in range(1, 6):
-            err = np.max(np.abs(basis36.modes[:, k - 1] - analytic_mode(k, 36)))
+            err = np.max(np.abs(basis36.modes[:, k - 1] - analytic_mode(k)))
             assert err <= 0.02
             assert err <= 1e-12  # the lumped chain reproduces them exactly
 
-    def test_other_node_counts(self):
-        basis = build_modal_basis(20, 4)
-        assert basis.modes.shape == (20, 4)
-        for k in range(1, 5):
-            assert np.max(np.abs(basis.modes[:, k - 1] - analytic_mode(k, 20))) <= 0.02
-
     def test_basis_is_solved_once_per_size(self, basis36):
         assert build_modal_basis() is basis36
-        assert build_modal_basis(n_nodes=36, n_modes=5) is basis36
-        assert build_modal_basis(36, n_modes=5) is basis36
-        assert build_modal_basis(20, 4) is build_modal_basis(n_modes=4,
-                                                             n_nodes=20)
-        assert build_modal_basis(36, 4) is not basis36
+        assert build_modal_basis(n_modes=5) is basis36
+        assert build_modal_basis(n_modes=4) is build_modal_basis(n_modes=4)
+        assert build_modal_basis(n_modes=4) is not basis36
+
+    def test_mode_count_is_keyword_only(self):
+        # a positional count is refused: it cannot be misread as 20 nodes
+        with pytest.raises(TypeError):
+            build_modal_basis(20)
 
     def test_shared_basis_is_read_only(self, basis36):
         for array in (basis36.modes, basis36.pulsations, basis36.mass):
@@ -69,29 +65,30 @@ class TestBasisConstruction:
 
     def test_mode_count_validation(self):
         with pytest.raises(ValidationError):
-            build_modal_basis(36, 1)
-        with pytest.raises(ValidationError):
-            build_modal_basis(10, 11)
+            build_modal_basis(n_modes=1)
+        with pytest.raises(ValidationError, match="need 2 <= n_modes <= n_nodes, "
+                                                  "got n_modes=37, n_nodes=36"):
+            build_modal_basis(n_modes=37)
 
 
 class TestAnalyticMode:
     def test_constant_term(self):
-        assert np.array_equal(analytic_mode(1, 36), np.ones(36))
+        assert np.array_equal(analytic_mode(1), np.ones(36))
 
     def test_half_wave_endpoints(self):
-        mode = analytic_mode(2, 36)
+        mode = analytic_mode(2)
         assert mode[0] == pytest.approx(1.0)
         assert mode[35] == pytest.approx(-1.0)
 
     def test_full_wave_dips_at_midspan(self):
-        mode = analytic_mode(3, 36)
+        mode = analytic_mode(3)
         # the -1 minimum at midspan falls between nodes 17 and 18
         assert mode[17] == pytest.approx(mode[18], abs=1e-12)
         assert mode[17] < -0.99
 
     def test_index_validation(self):
         with pytest.raises(ValidationError):
-            analytic_mode(0, 36)
+            analytic_mode(0)
 
 
 class TestProjection:
@@ -195,50 +192,15 @@ class TestReconstruct:
 
 
 class TestCoordinatesCsv:
-    def test_roundtrip(self, tmp_path, basis36):
+    def test_roundtrip(self, basis36):
         coords = project(np.linspace(-1, 1, 36), basis36)
-        path = tmp_path / "coords.csv"
-        write_coordinates_csv(path, coords)
-        back = read_coordinates_csv(path)
-        assert np.array_equal(back.lambdas, coords.lambdas)
-        assert back.residue == coords.residue
-        text = path.read_text()
-        assert text.startswith("mode,lambda_mm\n")
-        assert "residue," in text
-
-    @pytest.mark.parametrize("body, line, what", [
-        ("1\nresidue,0.0\n", 2, "expected 2 fields, got 1 in '1'"),
-        ("1,0.5,7\nresidue,0.0\n", 2, "expected 2 fields, got 3"),
-        ("1,0.5\n2,abc\nresidue,0.0\n", 3, "cannot read '2,abc' as numbers"),
-        ("1,0.5\nresidue,\n", 3, "cannot read 'residue,' as numbers"),
-        ("1,nan\nresidue,0.0\n", 2, "non-finite value in '1,nan'"),
-        ("1,0.5\nresidue,inf\n", 3, "non-finite value in 'residue,inf'"),
-        ("2,0.5\nresidue,0.0\n", 2, "expected mode 1, got '2'"),
-        ("1,0.5\n3,0.5\nresidue,0.0\n", 3, "expected mode 2, got '3'"),
-        ("residue,0.0\n", 2, "expected mode 1, got 'residue'"),
-        ("1,0.5\n2,0.5\n", 4, "missing residue row"),
-        ("", 2, "missing residue row"),
-        ("1,0.5\nresidue,0.0\n2,0.5\n", 4, "row after the residue row"),
-    ])
-    def test_bad_rows_name_the_line(self, tmp_path, body, line, what):
-        path = tmp_path / "coords.csv"
-        path.write_text("mode,lambda_mm\n" + body)
-        with pytest.raises(ValidationError) as err:
-            read_coordinates_csv(path)
-        assert f"coords.csv: line {line}: {what}" in str(err.value)
-
-    def test_blank_lines_are_skipped(self, tmp_path):
-        path = tmp_path / "coords.csv"
-        path.write_text("mode,lambda_mm\n\n1,0.5\n\n2,-0.25\nresidue,0.0\n\n")
-        coords = read_coordinates_csv(path)
-        assert coords.lambdas.tolist() == [0.5, -0.25]
-        assert coords.residue == 0.0
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "coords.csv"
-        path.write_text("theta_rad,value_mm\n1,0.5\nresidue,0.0\n")
-        with pytest.raises(ValidationError, match="expected header"):
-            read_coordinates_csv(path)
+        text = coordinates_text(coords)
+        assert text.startswith("mode,lambda_mm\n") and text.endswith("\n")
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5", "residue"]
+        back = np.array([float(r[1]) for r in rows[:-1]])
+        assert np.array_equal(back, coords.lambdas)
+        assert float(rows[-1][1]) == coords.residue
 
 
 class TestDecompose:
@@ -249,7 +211,7 @@ class TestDecompose:
                                  - 0.1 * np.cos(2 * theta))
         basis = build_modal_basis(n_modes=n_modes)
         coords = decompose(profile, 35.0, basis)
-        expected = project(deviation_vector(profile, 35.0, 36), basis)
+        expected = project(deviation_vector(profile, 35.0), basis)
         assert coords.lambdas.shape == (n_modes,)
         assert np.array_equal(coords.lambdas, expected.lambdas)
         assert coords.residue == expected.residue

@@ -7,8 +7,9 @@ from earforge import campaign as cp
 from earforge.doe import Factor, FactorSpace
 from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
                              InvalidBlankError, ValidationError)
-from earforge.geometry import (BlankSpec, deviation_vector, ear_amplitude,
-                               quarter_nodes, uniform_theta, write_contour_csv)
+from earforge.geometry import (BlankSpec, ContourProfile, deviation_vector,
+                               ear_amplitude, quarter_nodes, uniform_theta,
+                               write_contour_csv)
 from earforge.modal import analytic_mode, build_modal_basis, project
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
@@ -75,15 +76,14 @@ class TestIngestProfile:
     def test_roundtrip_from_simulation(self, tmp_path):
         profile = simulate(BlankSpec(117.0, 0.6, -0.9), DC05)
         path = tmp_path / "run.csv"
-        write_contour_csv(path, profile.theta, profile.height)
+        write_contour_csv(path, profile)
         back = ingest_profile(path)
         assert np.max(np.abs(back.height - profile.height)) <= 1e-9
         assert np.max(np.abs(back.theta - profile.theta)) <= 1e-12
 
     def test_constant_profile(self, tmp_path):
-        theta = uniform_theta(144)
         path = tmp_path / "flat.csv"
-        write_contour_csv(path, theta, np.full(144, 35.0))
+        write_contour_csv(path, ContourProfile(np.full(144, 35.0)))
         profile = ingest_profile(path)
         assert np.allclose(profile.height, 35.0, atol=1e-12)
 
@@ -204,7 +204,7 @@ class TestRunDesign:
         # oracle: least-squares coefficient of the interpolated cos(4θ)
         # quarter shape on the analytic cosine set, scaled by the rim gain
         cfg = simulated.config
-        modes = np.column_stack([analytic_mode(k, 36) for k in range(1, 6)])
+        modes = np.column_stack([analytic_mode(k) for k in range(1, 6)])
         theta = uniform_theta(144)
         shape = np.interp(quarter_nodes(), theta, np.cos(4 * theta))
         transmission = np.linalg.lstsq(modes, shape, rcond=None)[0][2]

@@ -4,12 +4,11 @@ import pytest
 from earforge import report
 
 
-def polyline_reference(xs, ys, color, width=1.5, closed=False):
+def polyline_reference(xs, ys, color, width=1.5):
     """_polyline as each point was once written: `_fmt(x),_fmt(y)`."""
     pts = " ".join(f"{report._fmt(x)},{report._fmt(y)}"
                    for x, y in zip(xs, ys))
-    tag = "polygon" if closed else "polyline"
-    return (f'<{tag} points="{pts}" fill="none" stroke="{color}" '
+    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
 
 
@@ -20,9 +19,8 @@ class TestPolyline:
         n = int(rng.integers(1, 400))
         xs = 320.0 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 7, n)
         ys = 240.0 - rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-6, 7, n)
-        for closed in (False, True):
-            assert report._polyline(xs, ys, "#c0392b", 2.0, closed) == \
-                polyline_reference(xs, ys, "#c0392b", 2.0, closed)
+        assert report._polyline(xs, ys, "#c0392b", 2.0) == \
+            polyline_reference(xs, ys, "#c0392b", 2.0)
 
     def test_matches_per_point_format_on_edge_values(self):
         # rounding to zero keeps the sign, halves round to even bits

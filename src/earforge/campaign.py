@@ -170,59 +170,10 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-# the types of the JSON scalars, which json's C encoder formats
-_JSON_SCALARS = {str, int, float, bool, type(None)}
-
-
-@functools.cache
-def _json_encoder(depth: int):
-    """json's C encoder for the items at nesting `depth`, and their pad.
-
-    Built here once, as json.JSONEncoder.encode would build it again on
-    every call, from that class's arguments for sort_keys=True and no
-    circular check: markers, default, string encoder, indent (unused by the
-    C code), key and item separators, sort_keys, skipkeys, allow_nan."""
-    pad = "\n" + "  " * depth
-    return json.encoder.c_make_encoder(
-        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-        None, ": ", "," + pad, True, False, True), pad
-
-
-def _json_text(value, depth: int = 0) -> str:
-    """`json.dumps(value, indent=2, sort_keys=True)`, nested `depth` levels
-    deep, for a value whose dicts have string keys.
-
-    Python walks the nesting; each scalar, and each dict or list of scalars,
-    is formatted by json's C encoder, whose item separator carries the pad.
-    """
-    encode, pad = _json_encoder(depth + 1)
-    if isinstance(value, dict):
-        brackets, items = "{}", value.values()
-    elif isinstance(value, (list, tuple)):
-        brackets, items = "[]", value
-    else:  # a scalar, or a value json's default hook refuses
-        return encode(value, 0)[0]
-    if not value:
-        return brackets
-    if {*map(type, items)} <= _JSON_SCALARS:
-        text = encode(value, 0)[0][1:-1]
-    elif isinstance(value, dict):
-        text = ("," + pad).join([
-            json.encoder.encode_basestring_ascii(k) + ": "
-            + (encode(v, 0)[0] if type(v) in _JSON_SCALARS
-               else _json_text(v, depth + 1))
-            for k, v in sorted(value.items())])
-    else:
-        text = ("," + pad).join([
-            encode(v, 0)[0] if type(v) in _JSON_SCALARS
-            else _json_text(v, depth + 1) for v in value])
-    return brackets[0] + pad + text + pad[:-2] + brackets[1]
-
-
 def _write_json(path: Path, payload) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF line ends."""
-    path.write_text(_json_text(payload) + "\n", encoding="utf-8",
-                    newline="\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8", newline="\n")
 
 
 def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str:
@@ -405,8 +356,8 @@ def state_to_dict(state: CampaignState) -> dict:
 def state_from_dict(d: dict) -> CampaignState:
     if d.get("schema_version") != SCHEMA_VERSION:
         raise MigrationNeededError(
-            f"campaign schema {d.get('schema_version')!r} != supported "
-            f"{SCHEMA_VERSION}; migrate the state file first")
+            f"campaign state has schema {d.get('schema_version')!r}; this "
+            f"earforge reads schema {SCHEMA_VERSION} only")
     # undo schema 1's layout (a flat config, models and optimum as in their
     # files), reading per-mode keys as L1..Ln in index order
     config = dict(d["config"])

@@ -9,7 +9,8 @@ grid points. The search grid and its monomials x_i x_j depend only on the
 factor count, so they are built once per factor count and shared, read-only,
 by every later call. The polished starts are advanced in lockstep with
 vectorized array ops, and the reduction to a single winner is ordered, so
-results are deterministic.
+results are deterministic. The model values reported at the optimum
+(`Optimum.predicted`) come from the same tensors as F and the search.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
-from .rsm import QuadraticModel, _tensor_form, model_matrix
+from .rsm import QuadraticModel, _tensor_form
 
 _GRID_PER_AXIS = 21
 _MAX_ITERATIONS = 500
@@ -243,8 +244,8 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
         iterations=accepted_steps,
         gradient_norm=float(np.sqrt(np.sum(pg_win * pg_win))),
     )
-    row = model_matrix(point[None, :])[0]
-    predicted = np.array([row @ m.coefficients for m in spec.models])
+    c, b, q = tensors
+    predicted = c + point @ b + np.einsum("i,ijm,j->m", point, q, point)
     physical = to_physical(space, point) if space is not None else None
     return Optimum(point=point, f_value=float(f_cur[winner]),
                    predicted=predicted, report=report, physical=physical)

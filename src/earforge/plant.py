@@ -70,10 +70,6 @@ class SurrogateParams:
         if self.ref_diameter <= 0 or self.base_height <= 0:
             raise ValidationError("ref_diameter and base_height must be > 0")
 
-    def cancelling_a2(self, material: MaterialAnisotropy) -> float:
-        """Four-lobe blank amplitude that cancels the rim cos(4θ) term."""
-        return -self.c_ear * material.delta_r / self.g4
-
 
 def simulate(blank: BlankSpec, material: MaterialAnisotropy,
              params: SurrogateParams | None = None,
@@ -110,8 +106,9 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
 
     Either way the samples are sorted by angle and resampled onto the
     uniform n_points grid by periodic linear interpolation. The angles must
-    cover at most one turn; a closed-loop export may repeat its first sample
-    one turn later only with the same height.
+    cover at most one turn, with no gap wider than pi/4 between neighbours
+    (the last and the first included); a closed-loop export may repeat its
+    first sample one turn later only with the same height.
     """
     path = Path(path)
     header, rows = geometry.read_rim_csv(path)
@@ -146,6 +143,15 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
             f"{path}: theta = {theta[0]:.9g} and {theta[-1]:.9g} are one turn "
             f"apart but their heights differ ({float(height[0])!r} vs "
             f"{float(height[-1])!r})")
+    # the widest gap, wrap-around included, may span at most one period of
+    # cos 8θ, the highest harmonic the modes read
+    gaps = np.diff(theta, append=theta[0] + 2.0 * np.pi)
+    widest = int(np.argmax(gaps))
+    if gaps[widest] > np.pi / 4 + 1e-12:
+        raise InsufficientDataError(
+            f"{path}: angular gap of {gaps[widest]:.9g} rad after theta = "
+            f"{theta[widest]:.9g}; samples may be at most pi/4 apart, one "
+            f"period of cos(8*theta)")
     resampled = np.interp(geometry.uniform_theta(n_points), theta, height,
                           period=2.0 * np.pi)
     return ContourProfile(resampled)

@@ -275,6 +275,8 @@ class TestMinimize:
         for value, model in zip(opt.predicted, reference_models):
             expected = (model_matrix(opt.point) @ model.coefficients)[0]
             assert value == pytest.approx(expected, abs=1e-12)
+        assert opt.f_value == pytest.approx(np.sum(opt.predicted ** 2),
+                                            rel=1e-12)
 
     def test_convergence_report_populated(self, reference_models):
         opt = minimize(ObjectiveSpec(models=reference_models))

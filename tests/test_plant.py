@@ -48,7 +48,7 @@ class TestSimulate:
 
     def test_four_lobe_cancellation(self):
         params = SurrogateParams(c8=0.0, kappa4_6=0.0)
-        a2 = params.cancelling_a2(DC05)
+        a2 = -params.c_ear * DC05.delta_r / params.g4
         assert a2 == pytest.approx(-0.807, abs=5e-4)
         profile = simulate(BlankSpec(116.63, a2=a2), DC05, params)
         assert ear_amplitude(profile) <= 1e-12
@@ -158,6 +158,21 @@ class TestIngestProfile:
         path.write_text("\n".join(lines) + "\n")
         profile = ingest_profile(path)
         assert np.max(np.abs(profile.height - height)) <= 1e-9
+
+    def test_point_cloud_missing_a_sector(self, tmp_path):
+        # 144 points, none on (1, 2) rad nor on the opposite sector, so the
+        # centroid stays on the axis: two gaps of 24 sample steps, pi/3 each
+        theta = uniform_theta(144)
+        theta = theta[np.abs((theta % np.pi) - 1.5) >= 0.5]
+        path = tmp_path / "cloud.csv"
+        lines = ["x_mm,y_mm,z_mm"] + [
+            f"{30 * math.cos(t)!r},{30 * math.sin(t)!r},35.0"
+            for t in theta.tolist()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InsufficientDataError,
+                           match=r"gap of 1\.047197\d* rad after theta = "
+                                 r"(0\.959931|4\.101523)"):
+            ingest_profile(path)
 
     def test_point_cloud_resamples_nonuniform_angles(self, tmp_path):
         # jittered sampling, the usual texture of a rim export

@@ -49,6 +49,9 @@ DESIGN_FILE = "design.csv"
 MODELS_FILE = "models.json"
 OPTIMUM_FILE = "optimum.json"
 RUNS_DIR = "runs"
+RUN_RIM = RUNS_DIR + "/run_{:02d}.csv"  # rim of design point 1, 2, ...
+BASELINE_RIM = f"{RUNS_DIR}/baseline.csv"
+OPTIMUM_RIM = f"{RUNS_DIR}/optimum.csv"
 REPORTS_DIR = "reports"
 
 STAGES = ("configured", "designed", "simulated", "fitted", "optimized",
@@ -67,7 +70,6 @@ class CampaignConfig:
     material: MaterialAnisotropy = DC05
     surrogate: SurrogateParams = field(default_factory=SurrogateParams)
     n_modes: int = 5
-    n_points: int = geometry.DEFAULT_N_POINTS
 
     def __post_init__(self):
         # the plant reads each design point as a blank (D, A1, A2)
@@ -77,7 +79,6 @@ class CampaignConfig:
                 f"got {self.space.names}")
         # refuse now what simulate would refuse only after design
         modal.check_n_modes(self.n_modes)
-        geometry.uniform_theta(self.n_points)
         geometry.check_finite(self)
         if self.target_height <= 0:
             raise ValidationError(
@@ -324,8 +325,9 @@ def _model_fields(response: str, entry: dict) -> dict:
                              for t in term_names(entry["factors"])]}
 
 
-def _check_sizes(state: CampaignState) -> None:
-    """Each per-mode section holds n_modes entries; the models use the factors."""
+def _check_layout(state: CampaignState) -> None:
+    """Each per-mode section holds n_modes entries, the models use the factors,
+    and each rim file is where its stage put it, inside the campaign."""
     cfg, v = state.config, state.verification
     sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
     sized += [("models", state.models),
@@ -338,14 +340,24 @@ def _check_sizes(state: CampaignState) -> None:
                                       f"not n_modes = {cfg.n_modes}")
     if any(m.factor_names != cfg.space.names for m in state.models or ()):
         raise StateIntegrityError(f"models must use the factors {cfg.space.names}")
+    pinned = [(f"runs[{i}].{k}", getattr(r, k), want)
+              for i, r in enumerate(state.runs)
+              for k, want in (("run", i + 1),
+                              ("profile_file", RUN_RIM.format(i + 1)))]
+    pinned += [(f"verification.{k}", getattr(v, k, want), want) for k, want
+               in (("baseline_file", BASELINE_RIM), ("optimum_file", OPTIMUM_RIM))]
+    for where, got, want in pinned:
+        if got != want:
+            raise StateIntegrityError(f"{where} must be {want!r}, got {got!r}")
 
 
 def state_to_dict(state: CampaignState) -> dict:
-    # schema 1's layout: a flat config, models and optimum as in their files
+    # schema 1's layout: a flat config with the grid size, models and optimum
+    # as in their files
     d = {name: _encode(getattr(state, name))
          for name, *_ in _plan(CampaignState)
          if name not in ("models", "optimum")}
-    d["config"].update(d["config"].pop("space"))
+    d["config"].update(d["config"].pop("space"), n_points=geometry.N_POINTS)
     d["models"] = (None if state.models is None
                    else _models_to_dict(state.models))
     d["optimum"] = (None if state.optimum is None
@@ -358,9 +370,13 @@ def state_from_dict(d: dict) -> CampaignState:
         raise MigrationNeededError(
             f"campaign state has schema {d.get('schema_version')!r}; this "
             f"earforge reads schema {SCHEMA_VERSION} only")
-    # undo schema 1's layout (a flat config, models and optimum as in their
-    # files), reading per-mode keys as L1..Ln in index order
+    # undo schema 1's layout (a flat config with the one grid's size, models
+    # and optimum as in their files), reading per-mode keys as L1..Ln in order
     config = dict(d["config"])
+    n_points = _decode(int, config.pop("n_points"), "CampaignConfig.n_points")
+    if n_points != geometry.N_POINTS:
+        raise StateIntegrityError(f"CampaignConfig.n_points must be "
+                                  f"{geometry.N_POINTS}, got {n_points}")
     config["space"] = {"factors": config.pop("factors"),
                        "alpha": config.pop("alpha")}
     models, opt = d["models"], d["optimum"]
@@ -374,7 +390,7 @@ def state_from_dict(d: dict) -> CampaignState:
     state = _decode(CampaignState,
                     {**d, "config": config, "models": models, "optimum": opt},
                     "campaign state")
-    _check_sizes(state)
+    _check_layout(state)
     # the design must be the config's CCD, bit for bit, so the fit has full
     # rank (equal roles fix the row count, equal bytes then the rest)
     design = state.design
@@ -477,16 +493,15 @@ def simulate_campaign(state: CampaignState, campaign_dir,
             zip(state.design.points, state.design.roles, physical), start=1):
         blank = BlankSpec(*phys)
         if ingest_dir is None:
-            profile = plant.simulate(blank, cfg.material, cfg.surrogate,
-                                     cfg.n_points)
+            profile = plant.simulate(blank, cfg.material, cfg.surrogate)
             provenance = "surrogate"
         else:
             src = Path(ingest_dir) / f"run_{i:02d}.csv"
             if not src.exists():
                 raise ValidationError(f"ingest directory misses {src.name}")
-            profile = plant.ingest_profile(src, cfg.n_points)
+            profile = plant.ingest_profile(src)
             provenance = f"ingested:{src.name}"
-        rel = f"{RUNS_DIR}/run_{i:02d}.csv"
+        rel = RUN_RIM.format(i)
         sha256 = _write_profile(campaign_dir, rel, profile)
         coords = modal.decompose(profile, cfg.target_height, basis)
         records.append(RunRecord(
@@ -538,10 +553,9 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
 
     d0 = geometry.initial_blank_diameter(cfg.cup)
     baseline_profile = plant.simulate(BlankSpec(d0), cfg.material,
-                                      cfg.surrogate, cfg.n_points)
+                                      cfg.surrogate)
     opt_blank = BlankSpec(*state.optimum.physical)
-    opt_profile = plant.simulate(opt_blank, cfg.material, cfg.surrogate,
-                                 cfg.n_points)
+    opt_profile = plant.simulate(opt_blank, cfg.material, cfg.surrogate)
 
     base_coords = modal.decompose(baseline_profile, cfg.target_height, basis)
     opt_coords = modal.decompose(opt_profile, cfg.target_height, basis)
@@ -554,8 +568,6 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     else:
         status, reduction = "ok", base_amp / opt_amp
 
-    base_rel = f"{RUNS_DIR}/baseline.csv"
-    opt_rel = f"{RUNS_DIR}/optimum.csv"
     state.verification = VerificationRecord(
         optimum_lambdas=tuple(opt_coords.lambdas.tolist()),
         optimum_residue=opt_coords.residue,
@@ -564,10 +576,10 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
         baseline_amplitude=base_amp,
         reduction_factor=reduction,
         status=status,
-        baseline_file=base_rel,
-        baseline_sha256=_write_profile(campaign_dir, base_rel, baseline_profile),
-        optimum_file=opt_rel,
-        optimum_sha256=_write_profile(campaign_dir, opt_rel, opt_profile),
+        baseline_file=BASELINE_RIM,
+        baseline_sha256=_write_profile(campaign_dir, BASELINE_RIM, baseline_profile),
+        optimum_file=OPTIMUM_RIM,
+        optimum_sha256=_write_profile(campaign_dir, OPTIMUM_RIM, opt_profile),
     )
     return _complete(state, campaign_dir, "verified")
 

@@ -1,14 +1,13 @@
 """Blank contour synthesis, blank sizing, and scalar metrics on rim profiles.
 
 Angles are radians, lengths millimetres throughout. Contours and profiles are
-sampled on the uniform grid theta_k = 2*pi*k/n over [0, 2*pi); a rim profile
-is its heights on that grid, and its angles are derived from their count.
+sampled on one uniform grid, THETA: theta_k = 2*pi*k/144 over [0, 2*pi). A
+rim profile is its 144 heights on that grid.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -18,8 +17,12 @@ import numpy as np
 
 from .errors import InvalidBlankError, ValidationError
 
-#: Default full-circle sampling; 36 samples per quarter.
-DEFAULT_N_POINTS = 144
+#: Samples of every rim profile and blank contour; 36 per quarter.
+N_POINTS = 144
+
+#: The rim grid theta_k = 2*pi*k/N_POINTS over [0, 2*pi), read-only.
+THETA = 2.0 * np.pi * np.arange(N_POINTS) / N_POINTS
+THETA.flags.writeable = False
 
 #: Nodes of the quarter-domain deviation vector (35 equal-length elements).
 QUARTER_NODES = 36
@@ -70,49 +73,35 @@ class CupSpec:
 
 @dataclass(frozen=True)
 class ContourProfile:
-    """Rim profile: its heights at the uniform angles theta_k = 2*pi*k/n."""
+    """Rim profile: its heights at the N_POINTS angles of THETA."""
 
     height: np.ndarray  # mm
 
     def __post_init__(self):
         height = np.asarray(self.height, dtype=float)
-        if height.ndim != 1:
+        if height.shape != (N_POINTS,):
             raise ValidationError(
-                f"profile heights must be 1-D, got shape {height.shape}")
+                f"a profile holds {N_POINTS} heights, one per grid angle; "
+                f"got shape {height.shape}")
         if not np.all(np.isfinite(height)):
             raise ValidationError("profile heights must be finite")
-        uniform_theta(height.size)  # the sample-count rule
         object.__setattr__(self, "height", height)
 
-    @functools.cached_property
-    def theta(self) -> np.ndarray:
-        """The sample angles, uniform_theta(n), computed once and read-only."""
-        theta = uniform_theta(self.height.size)
-        theta.flags.writeable = False
-        return theta
+    theta = THETA  # the sample angles, one read-only array for every profile
 
 
-def uniform_theta(n_points: int) -> np.ndarray:
-    """Uniform angular grid theta_k = 2*pi*k/n over [0, 2*pi)."""
-    if n_points < 8 or n_points % 4 != 0:
-        raise ValidationError(
-            f"n_points must be >= 8 and a multiple of 4, got {n_points}")
-    return 2.0 * np.pi * np.arange(n_points) / n_points
-
-
-def blank_contour(spec: BlankSpec, n_points: int = DEFAULT_N_POINTS) -> np.ndarray:
-    """Radii of the blank contour of `spec` at the n_points uniform angles.
+def blank_contour(spec: BlankSpec) -> np.ndarray:
+    """Radii of the blank contour of `spec` at the angles of THETA.
 
     Raises InvalidBlankError if the radius is non-positive at any sample,
     naming the first violating angle.
     """
-    theta = uniform_theta(n_points)
-    radius = spec.radius_at(theta)
+    radius = spec.radius_at(THETA)
     bad = np.flatnonzero(radius <= 0.0)
     if bad.size:
         k = int(bad[0])
         raise InvalidBlankError(
-            f"blank radius {radius[k]:.6g} mm <= 0 at theta = {theta[k]:.6g} rad "
+            f"blank radius {radius[k]:.6g} mm <= 0 at theta = {THETA[k]:.6g} rad "
             f"(D={spec.diameter}, A1={spec.a1}, A2={spec.a2})")
     return radius
 
@@ -166,11 +155,8 @@ CLOUD_HEADER = ("x_mm", "y_mm", "z_mm")
 _LOADTXT = dict(delimiter=",", ndmin=2, comments=None, quotechar='"')
 
 
-@functools.lru_cache(maxsize=8)
-def _angle_cells(n_points: int) -> tuple[str, ...]:
-    """The `repr(t) + ","` cell of each angle of the n_points grid: a
-    campaign writes every rim on one grid, so it formats the grid once."""
-    return tuple(f"{t!r}," for t in uniform_theta(n_points).tolist())
+# the `repr(t) + ","` cell of each angle of THETA, formatted once for all rims
+_ANGLE_CELLS = tuple(f"{t!r}," for t in THETA.tolist())
 
 
 def write_contour_csv(path, profile: ContourProfile) -> bytes:
@@ -179,8 +165,7 @@ def write_contour_csv(path, profile: ContourProfile) -> bytes:
     Each angle and height is written as its shortest round-tripping repr, so
     the file reads back bit for bit. Returns the bytes written.
     """
-    cells = _angle_cells(profile.height.size)
-    rows = map(operator.add, cells, map(float.__repr__, profile.height.tolist()))
+    rows = map(operator.add, _ANGLE_CELLS, map(float.__repr__, profile.height.tolist()))
     data = "\n".join([",".join(POLAR_HEADER), *rows, ""]).encode("utf-8")
     Path(path).write_bytes(data)
     return data

@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import (AmbiguousProfileError, InsufficientDataError,
                      ValidationError)
-from .geometry import BlankSpec, ContourProfile
+from .geometry import THETA, BlankSpec, ContourProfile
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,7 @@ class SurrogateParams:
 
 
 def simulate(blank: BlankSpec, material: MaterialAnisotropy,
-             params: SurrogateParams | None = None,
-             n_points: int = geometry.DEFAULT_N_POINTS) -> ContourProfile:
+             params: SurrogateParams | None = None) -> ContourProfile:
     """Rim profile of a drawn cup for the given blank on the surrogate plant.
 
     Deterministic; keeps the two mirror symmetries (theta -> -theta and
@@ -82,30 +81,29 @@ def simulate(blank: BlankSpec, material: MaterialAnisotropy,
     """
     if params is None:
         params = SurrogateParams()
-    geometry.blank_contour(blank, n_points)  # validates radius positivity
-    theta = geometry.uniform_theta(n_points)
+    geometry.blank_contour(blank)  # validates radius positivity
     dd = blank.diameter - params.ref_diameter
     height = (params.base_height + params.k_d * dd + params.k_q * dd * dd
-              + params.g2 * blank.a1 * np.cos(2.0 * theta)
+              + params.g2 * blank.a1 * np.cos(2.0 * THETA)
               + (params.g4 * blank.a2 + params.c_ear * material.delta_r)
-              * np.cos(4.0 * theta)
-              + params.kappa4_6 * blank.a2 * np.cos(6.0 * theta)
-              + params.c8 * np.cos(8.0 * theta))
+              * np.cos(4.0 * THETA)
+              + params.kappa4_6 * blank.a2 * np.cos(6.0 * THETA)
+              + params.c8 * np.cos(8.0 * THETA))
     return ContourProfile(height)
 
 
-def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourProfile:
+def ingest_profile(path) -> ContourProfile:
     """Load an external rim measurement or simulation export as a profile.
 
     Two formats are accepted, discriminated by header:
 
     * ``theta_rad,value_mm`` -- polar profile samples;
     * ``x_mm,y_mm,z_mm`` -- raw rim point cloud. Points are converted to
-      (theta, height) about the vertical axis through the cloud centroid,
-      with z as height.
+      (theta, height) about the vertical axis through the centre of the
+      circle fitted to their (x, y), with z as height.
 
     Either way the samples are sorted by angle and resampled onto the
-    uniform n_points grid by periodic linear interpolation. The angles must
+    rim grid THETA by periodic linear interpolation. The angles must
     cover at most one turn, with no gap wider than pi/4 between neighbours
     (the last and the first included); a closed-loop export may repeat its
     first sample one turn later only with the same height.
@@ -120,8 +118,18 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
     if polar:
         theta, height = rows[:, 0], rows[:, 1]
     else:
-        cx, cy = rows[:, 0].mean(), rows[:, 1].mean()
-        theta = np.arctan2(rows[:, 1] - cy, rows[:, 0] - cx) % (2.0 * np.pi)
+        # the axis: the least-squares circle's centre (Kasa, IEEE TIM 1976),
+        # which sampling density does not pull as it pulls the points' mean
+        u = rows[:, 0] - rows[:, 0].mean()
+        v = rows[:, 1] - rows[:, 1].mean()
+        w = 0.5 * (u * u + v * v)
+        uu, uv, vv, uw, vw = u @ u, u @ v, v @ v, u @ w, v @ w
+        det = uu * vv - uv * uv
+        if not det > 0:
+            raise InsufficientDataError(
+                f"{path}: no circle fits the points (coincident or collinear)")
+        theta = np.arctan2(v - (uu * vw - uv * uw) / det,
+                           u - (vv * uw - uv * vw) / det) % (2.0 * np.pi)
         height = rows[:, 2]
     order = np.argsort(theta, kind="stable")
     theta = theta[order]
@@ -152,6 +160,4 @@ def ingest_profile(path, n_points: int = geometry.DEFAULT_N_POINTS) -> ContourPr
             f"{path}: angular gap of {gaps[widest]:.9g} rad after theta = "
             f"{theta[widest]:.9g}; samples may be at most pi/4 apart, one "
             f"period of cos(8*theta)")
-    resampled = np.interp(geometry.uniform_theta(n_points), theta, height,
-                          period=2.0 * np.pi)
-    return ContourProfile(resampled)
+    return ContourProfile(np.interp(THETA, theta, height, period=2.0 * np.pi))

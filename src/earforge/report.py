@@ -6,6 +6,8 @@ import numpy as np
 
 _W = 640
 _H = 480
+# polar plots: centre and radius of the target circle, px
+_CX, _CY, _BASE_R = _W / 2.0, _H / 2.0 + 10.0, 150.0
 
 
 def _fmt(v: float) -> str:
@@ -36,32 +38,36 @@ def _text(x: float, y: float, s: str, size: int = 13, anchor: str = "start",
             f'font-size="{size}" text-anchor="{anchor}" fill="{color}">{s}</text>')
 
 
-def _polar_xy(theta, radii, cx: float, cy: float):
-    xs = cx + radii * np.cos(theta)
-    ys = cy - radii * np.sin(theta)
-    return xs, ys
+def _polar_xy(theta, radii):
+    return _CX + radii * np.cos(theta), _CY - radii * np.sin(theta)
+
+
+def _polar_frame(title: str, *deviations) -> tuple[list[str], float]:
+    """The title and dashed target circle of a polar plot, and its scale in
+    px/mm: the largest |deviation| of all lies 60 px off the circle."""
+    amp = max(1e-9, *(float(np.max(np.abs(dev))) for dev in deviations))
+    return [_text(_W / 2.0, 24, title, size=15, anchor="middle"),
+            f'<circle cx="{_fmt(_CX)}" cy="{_fmt(_CY)}" r="{_fmt(_BASE_R)}" '
+            f'fill="none" stroke="#999999" stroke-dasharray="4 3"/>'], 60 / amp
+
+
+def _polar_trace(theta, dev, scale: float, color: str) -> str:
+    """A deviation as a closed line about the target circle."""
+    xs, ys = _polar_xy(np.append(theta, theta[0]),
+                       _BASE_R + scale * np.append(dev, dev[0]))
+    return _polyline(xs, ys, color, 2.0)
 
 
 def polar_deviation_svg(theta: np.ndarray, deviation: np.ndarray,
                         title: str) -> str:
     """Polar plot of rim deviation around the target circle."""
-    cx, cy = _W / 2.0, _H / 2.0 + 10.0
-    base_r = 150.0
-    amp = max(float(np.max(np.abs(deviation))), 1e-9)
-    scale = 60.0 / amp
-    elems = [
-        _text(_W / 2.0, 24, title, size=15, anchor="middle"),
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(base_r)}" '
-        f'fill="none" stroke="#999999" stroke-dasharray="4 3"/>',
-        _text(cx + base_r + 8, cy + 4, "target", size=11, color="#777777"),
-    ]
-    closed_theta = np.append(theta, theta[0])
-    closed_dev = np.append(deviation, deviation[0])
-    xs, ys = _polar_xy(closed_theta, base_r + scale * closed_dev, cx, cy)
-    elems.append(_polyline(xs, ys, "#c0392b", 2.0))
+    elems, scale = _polar_frame(title, deviation)
+    elems.append(_text(_CX + _BASE_R + 8, _CY + 4, "target", size=11,
+                       color="#777777"))
+    elems.append(_polar_trace(theta, deviation, scale, "#c0392b"))
     for ang, label in ((0.0, "0"), (np.pi / 2, "90"), (np.pi, "180"),
                        (3 * np.pi / 2, "270")):
-        x, y = _polar_xy(np.array([ang]), np.array([base_r + 78.0]), cx, cy)
+        x, y = _polar_xy(np.array([ang]), np.array([_BASE_R + 78.0]))
         elems.append(_text(float(x[0]), float(y[0]) + 4, label, size=11,
                            anchor="middle", color="#777777"))
     pp = float(np.max(deviation) - np.min(deviation))
@@ -114,21 +120,10 @@ def modal_bars_svg(series: list[tuple[str, np.ndarray]], title: str) -> str:
 def overlay_polar_svg(theta: np.ndarray, dev_a: np.ndarray, dev_b: np.ndarray,
                       label_a: str, label_b: str, title: str) -> str:
     """Two rim deviations overlaid on the same polar target circle."""
-    cx, cy = _W / 2.0, _H / 2.0 + 10.0
-    base_r = 150.0
-    amp = max(float(np.max(np.abs(dev_a))), float(np.max(np.abs(dev_b))), 1e-9)
-    scale = 60.0 / amp
-    elems = [
-        _text(_W / 2.0, 24, title, size=15, anchor="middle"),
-        f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(base_r)}" '
-        f'fill="none" stroke="#999999" stroke-dasharray="4 3"/>',
-    ]
+    elems, scale = _polar_frame(title, dev_a, dev_b)
     for dev, color, label, dy in ((dev_a, "#2980b9", label_a, 0),
                                   (dev_b, "#c0392b", label_b, 18)):
-        closed_theta = np.append(theta, theta[0])
-        closed_dev = np.append(dev, dev[0])
-        xs, ys = _polar_xy(closed_theta, base_r + scale * closed_dev, cx, cy)
-        elems.append(_polyline(xs, ys, color, 2.0))
+        elems.append(_polar_trace(theta, dev, scale, color))
         elems.append(f'<rect x="16" y="{_fmt(_H - 44 + dy)}" width="12" '
                      f'height="12" fill="{color}"/>')
         pp = float(np.max(dev) - np.min(dev))

@@ -22,8 +22,8 @@ from earforge.cli import cli_main
 from earforge.errors import (CampaignLockedError, FreshStateError,
                              MigrationNeededError, StateIntegrityError,
                              ValidationError)
-from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
-                               uniform_theta, write_contour_csv)
+from earforge.geometry import (THETA, BlankSpec, ContourProfile, CupSpec,
+                               write_contour_csv)
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
 
@@ -190,7 +190,7 @@ class TestDecompose:
     @pytest.mark.parametrize("cloud", [False, True], ids=["polar", "cloud"])
     def test_byte_order_mark_is_ignored(self, tmp_path, capsys, cloud):
         # spreadsheet exports start with a UTF-8 byte-order mark
-        theta = uniform_theta(144)[::2] + 0.01
+        theta = THETA[::2] + 0.01
         height = simulate(BlankSpec(117.2, 0.3, -0.5), DC05).height[::2]
         if cloud:
             rows = ["x_mm,y_mm,z_mm"] + [
@@ -486,7 +486,11 @@ class TestMalformedState:
          "CampaignConfig.target_height must be float"),
         (_set("n_modes", value=1), "need 2 <= n_modes <= n_nodes"),
         (_set("n_modes", value=37), "need 2 <= n_modes <= n_nodes"),
-        (_set("n_points", value=10), "n_points must be >= 8"),
+        # every rim is on the 144-sample grid, so no other count loads
+        (_set("n_points", value=10), "CampaignConfig.n_points must be 144"),
+        (_set("n_points", value=288), "CampaignConfig.n_points must be 144"),
+        (_set("n_points", value=True), "CampaignConfig.n_points must be int"),
+        (_drop("config", "n_points"), "missing key 'n_points'"),
         (_set("target_height", value=-1.0), "target_height must be > 0"),
         (_set("target_height", value=10 ** 400),
          "malformed state: int too large to convert to float"),
@@ -494,7 +498,8 @@ class TestMalformedState:
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
             "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
             "k_d-is-str", "target-is-bool", "n_modes-1", "n_modes-37",
-            "n_points-10", "target-negative", "target-past-float",
+            "n_points-10", "n_points-288", "n_points-is-bool", "no-n_points",
+            "target-negative", "target-past-float",
             "not-utf8"])
     def test_design_exits_2(self, tmp_path, capsys, edit, message):
         # `edit` returns the new document, or the file's raw bytes
@@ -569,13 +574,22 @@ class TestMalformedState:
         ("report", _put("verification", "optimum_lambdas", 1,
                         value=math.inf),
          "VerificationRecord.optimum_lambdas[1] must be finite, got inf"),
+        ("fit", _put("runs", 0, "run", value=2),
+         "runs[0].run must be 1, got 2"),
+        ("report", _put("verification", "baseline_file",
+                        value="runs/optimum.csv"),
+         "verification.baseline_file must be 'runs/baseline.csv'"),
+        ("report", _put("verification", "optimum_file",
+                        value="runs/run_01.csv"),
+         "verification.optimum_file must be 'runs/optimum.csv'"),
     ], ids=["design-point-is-str", "run-lambda-is-str", "run-lambda-is-bool",
             "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
             "no-model-L5", "model-factors", "optimum-point-is-str",
             "optimum-physical-is-str", "no-predicted-L5",
             "verified-has-2-lambdas", "baseline-has-1-lambda",
             "design-point-is-nan", "run-lambda-is-nan",
-            "coefficient-is-inf", "verified-lambda-is-inf"])
+            "coefficient-is-inf", "verified-lambda-is-inf", "run-number",
+            "baseline-file", "optimum-file"])
     def test_later_stage_exits_2(self, tmp_path, capsys, stage, edit, message):
         # the edit goes into the state the stages before `stage` left; the
         # stage must stop before writing anything
@@ -611,6 +625,23 @@ class TestMalformedState:
         err = _refused_after_edit(tmp_path / "camp", capsys, "simulate", edit)
         assert "design is not the central composite design" in err
         assert not (tmp_path / "camp" / "runs").exists()
+
+    @pytest.mark.parametrize("stage", ["fit", "report"])
+    @pytest.mark.parametrize("where", ["relative", "absolute"])
+    def test_rim_file_outside_the_campaign_exits_2(self, tmp_path, capsys,
+                                                   stage, where):
+        # run 8's file moved out of the campaign, its hash still right: the
+        # state may only name the path the simulate stage wrote
+        d, outside = tmp_path / "camp", tmp_path / "outside.csv"
+
+        def move_run_8(doc):
+            (d / "runs" / "run_08.csv").replace(outside)
+            doc["runs"][7]["profile_file"] = (
+                "../outside.csv" if where == "relative" else str(outside))
+            return doc
+        err = _refused_after_edit(d, capsys, stage, move_run_8)
+        assert "runs[7].profile_file must be 'runs/run_08.csv', got " in err
+        assert outside.is_file()
 
     def test_int_for_float_is_accepted(self, tmp_path):
         # an int where a float belongs is read as that float, so the next
@@ -785,7 +816,7 @@ class TestIngestFlow:
 
 def flat_rim(cloud=False):
     """Lines of a flat 16-sample rim at 35 mm, without the header."""
-    theta = uniform_theta(16).tolist()
+    theta = (2 * np.pi * np.arange(16) / 16).tolist()
     if cloud:
         return [f"{30 * math.cos(t)!r},{30 * math.sin(t)!r},35.0" for t in theta]
     return [f"{t!r},35.0" for t in theta]
@@ -825,7 +856,7 @@ BAD_RIMS = ["cloud_row_of_2", "polar_row_of_1", "polar_rows_of_3",
 def off_turn_rim(case):
     """(file text, what the error says) of a four-lobe polar rim that is not
     one turn: 16 samples of a 0.5 mm ear, or a quarter turn of a 0.86 mm one."""
-    theta = uniform_theta(16).tolist()
+    theta = (2 * np.pi * np.arange(16) / 16).tolist()
     rows = [(t, 35.0 + 0.5 * math.cos(4 * t)) for t in theta]
     if case == "quarter_turn":  # 60 samples on [0, pi/2]: 3*pi/2 unmeasured
         rows = [(t, 35.0 + 0.86 * math.cos(4 * t))
@@ -845,6 +876,20 @@ OFF_TURN_RIMS = ["degrees", "one_turn_apart", "quarter_turn"]
 
 
 class TestBadRimFiles:
+    @pytest.mark.parametrize("points", [
+        [(5.0, -2.0)] * 16,                          # coincident
+        [(1.5 * k, 0.0) for k in range(16)],         # on the x axis
+        [(0.5 * k, 0.5 * k) for k in range(16)],     # on the diagonal
+    ], ids=["coincident", "collinear", "diagonal"])
+    def test_cloud_without_a_circle_exits_2(self, tmp_path, capsys, points):
+        path = tmp_path / "rim.csv"
+        path.write_text("x_mm,y_mm,z_mm\n" + "".join(
+            f"{x!r},{y!r},35.0\n" for x, y in points))
+        assert cli_main(["decompose", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "rim.csv: no circle fits the points" in err
+        assert "Traceback" not in err
+
     def test_well_formed_fixtures(self, tmp_path):
         for lines in (["theta_rad,value_mm"] + flat_rim(),
                       ["x_mm,y_mm,z_mm"] + flat_rim(cloud=True)):

@@ -4,55 +4,50 @@ import math
 import numpy as np
 import pytest
 
-from earforge import geometry
 from earforge.errors import InvalidBlankError, ValidationError
-from earforge.geometry import (BlankSpec, ContourProfile, CupSpec,
+from earforge.geometry import (THETA, BlankSpec, ContourProfile, CupSpec,
                                blank_contour, deviation_vector,
                                ear_amplitude, initial_blank_diameter,
-                               quarter_nodes, read_rim_csv, uniform_theta,
-                               write_contour_csv)
+                               quarter_nodes, read_rim_csv, write_contour_csv)
 
 
-def cosine_profile(n=144, mean=35.0, amplitudes=()):
-    """Profile mean + sum(a_k * cos(k*theta)) on the uniform n-grid."""
-    theta = uniform_theta(n)
-    height = np.full(n, float(mean))
+def cosine_profile(mean=35.0, amplitudes=()):
+    """Profile mean + sum(a_k * cos(k*theta)) on the rim grid."""
+    height = np.full(144, float(mean))
     for k, a in amplitudes:
-        height = height + a * np.cos(k * theta)
+        height = height + a * np.cos(k * THETA)
     return ContourProfile(height)
 
 
 class TestBlankContour:
     def test_pure_circle(self):
-        radius = blank_contour(BlankSpec(117.0), n_points=16)
-        assert radius.size == 16
+        radius = blank_contour(BlankSpec(117.0))
+        assert radius.shape == (144,)
         assert np.allclose(radius, 58.5, rtol=0, atol=1e-12)
 
     def test_two_lobe_radii(self):
-        radius = blank_contour(BlankSpec(117.0, a1=1.5), n_points=16)
+        radius = blank_contour(BlankSpec(117.0, a1=1.5))
         assert radius[0] == pytest.approx(60.0, abs=1e-12)
-        # theta = pi/2 is sample 4 of 16
-        assert radius[4] == pytest.approx(57.0, abs=1e-12)
+        # theta = pi/2 is sample 36 of 144
+        assert radius[36] == pytest.approx(57.0, abs=1e-12)
 
     def test_negative_radius_is_invalid_blank(self):
         with pytest.raises(InvalidBlankError) as err:
-            blank_contour(BlankSpec(4.0, a2=2.5), n_points=16)
-        # radius hits -0.5 at theta = pi/4
-        assert f"{math.pi / 4:.6g}" in str(err.value)
+            blank_contour(BlankSpec(4.0, a2=2.5))
+        # 2 + 2.5*cos(4θ) first drops below 0 at sample 15 of 144
+        first = min(k for k in range(144)
+                    if 2.0 + 2.5 * math.cos(4 * 2 * math.pi * k / 144) <= 0)
+        assert first == 15
+        assert f"theta = {2 * math.pi * first / 144:.6g} rad" in str(err.value)
 
     def test_mirror_symmetries(self):
         spec = BlankSpec(117.0, a1=0.7, a2=-1.1)
-        r = blank_contour(spec, n_points=144)
+        r = blank_contour(spec)
         n = r.size
         for k in range(1, n):
             assert r[k] == pytest.approx(r[n - k], abs=1e-12)          # theta -> -theta
         for k in range(n):
             assert r[k] == pytest.approx(r[(n // 2 - k) % n], abs=1e-12)  # theta -> pi - theta
-
-    @pytest.mark.parametrize("n", [4, 7, 10, 15])
-    def test_bad_sample_counts(self, n):
-        with pytest.raises(ValidationError):
-            blank_contour(BlankSpec(117.0), n_points=n)
 
     def test_blank_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -118,14 +113,14 @@ class TestEarAmplitude:
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(3)
-        h = rng.uniform(30, 40, 48)
+        h = rng.uniform(30, 40, 144)
         base = ear_amplitude(ContourProfile(h))
         shifted = ear_amplitude(ContourProfile(h + 5.4))
         assert shifted == pytest.approx(base, abs=1e-12)
 
     def test_scaling_about_mean(self):
         rng = np.random.default_rng(4)
-        h = rng.uniform(30, 40, 48)
+        h = rng.uniform(30, 40, 144)
         mean = h.mean()
         base = ear_amplitude(ContourProfile(h))
         scaled = ear_amplitude(ContourProfile(mean + 2.5 * (h - mean)))
@@ -143,13 +138,16 @@ class TestDeviationVector:
         assert np.allclose(dev, -1.0, rtol=0, atol=1e-12)
 
     def test_exact_decimation_on_matching_grid(self):
-        # 140 full-circle samples put every quarter node on a sample
-        profile = cosine_profile(n=140, amplitudes=[(4, 1.0)])
+        # the quarter's ends, nodes 0 and 35, are samples 0 and 36 of the
+        # grid, so their heights are taken as they are
+        rng = np.random.default_rng(12)
+        profile = ContourProfile(rng.uniform(30, 40, 144))
+        assert quarter_nodes()[[0, 35]].tolist() == THETA[[0, 36]].tolist()
         dev = deviation_vector(profile, 35.0)
-        assert np.allclose(dev, np.cos(4 * quarter_nodes()), rtol=0, atol=1e-12)
+        assert dev[[0, 35]].tolist() == (profile.height[[0, 36]] - 35.0).tolist()
 
     def test_linear_interpolation_on_default_grid(self):
-        profile = cosine_profile(n=144, amplitudes=[(4, 1.0)])
+        profile = cosine_profile(amplitudes=[(4, 1.0)])
         dev = deviation_vector(profile, 35.0)
         assert np.allclose(dev, np.cos(4 * quarter_nodes()), rtol=0, atol=5e-3)
 
@@ -172,32 +170,37 @@ class TestDeviationVector:
 
 class TestContourTypes:
     def test_contour_rejects_nonpositive_radius(self):
-        # r = 1 + cos(2θ) is exactly 0 at theta = pi/2, sample 2 of 8
+        # r = 1 + cos(2θ) is exactly 0 at theta = pi/2, sample 36 of 144
         spec = BlankSpec(2.0, a1=1.0)
-        assert spec.radius_at(uniform_theta(8)).min() == 0.0
+        assert spec.radius_at(THETA).min() == 0.0
         with pytest.raises(InvalidBlankError) as err:
-            blank_contour(spec, n_points=8)
+            blank_contour(spec)
         assert f"{math.pi / 2:.6g}" in str(err.value)
 
     def test_profile_rejects_nonfinite_heights(self):
-        height = np.ones(8)
+        height = np.ones(144)
         height[2] = np.nan
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="finite"):
             ContourProfile(height)
 
     def test_profile_theta_is_the_uniform_grid(self):
-        profile = cosine_profile(n=144, amplitudes=[(4, 0.5)])
-        assert np.array_equal(profile.theta, uniform_theta(144))
-        assert profile.theta is profile.theta  # computed once
-        assert not profile.theta.flags.writeable
+        # theta_k = 2*pi*k/144, the one array every profile shares
+        grid = [2 * math.pi * k / 144 for k in range(144)]
+        assert THETA.tolist() == grid
+        a = cosine_profile(amplitudes=[(4, 0.5)])
+        assert a.theta is THETA and cosine_profile().theta is THETA
+        assert not THETA.flags.writeable
+        with pytest.raises(ValueError):
+            a.theta[1] = 0.0
 
     def test_profile_rejects_2d_heights(self):
-        with pytest.raises(ValidationError, match="1-D"):
-            ContourProfile(np.ones((2, 8)))
+        with pytest.raises(ValidationError, match=r"144 heights.*\(1, 144\)"):
+            ContourProfile(np.ones((1, 144)))
 
-    @pytest.mark.parametrize("n", [7, 10])
+    @pytest.mark.parametrize("n", [7, 10, 143, 145, 288])
     def test_profile_rejects_bad_sample_counts(self, n):
-        with pytest.raises(ValidationError, match="multiple of 4"):
+        with pytest.raises(ValidationError,
+                           match=rf"144 heights.*got shape \({n},\)"):
             ContourProfile(np.ones(n))
 
 
@@ -258,7 +261,7 @@ class TestContourCsv:
 
     def test_line_endings_are_lf(self, tmp_path):
         path = tmp_path / "profile.csv"
-        write_contour_csv(path, ContourProfile(np.full(8, 35.0)))
+        write_contour_csv(path, ContourProfile(np.full(144, 35.0)))
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.startswith(b"theta_rad,value_mm\n")
@@ -266,34 +269,21 @@ class TestContourCsv:
     @pytest.mark.parametrize("seed", range(5))
     def test_bytes_match_csv_writer_on_seeded_profiles(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        n = 4 * int(rng.integers(2, 600))
-        values = 35.0 + rng.normal(0.0, 1.0, n) * 10.0 ** rng.uniform(-8, 2, n)
+        values = (35.0 + rng.normal(0.0, 1.0, 144)
+                  * 10.0 ** rng.uniform(-8, 2, 144))
         data = write_contour_csv(tmp_path / "new.csv", ContourProfile(values))
-        csv_writer_reference(tmp_path / "ref.csv", uniform_theta(n), values)
+        csv_writer_reference(tmp_path / "ref.csv", THETA, values)
         assert data == (tmp_path / "new.csv").read_bytes()
         assert data == (tmp_path / "ref.csv").read_bytes()
 
     def test_bytes_match_csv_writer_on_edge_values(self, tmp_path):
-        edge = np.array([-0.0, 5e-324, 1e308, 1 / 3, -1e308, 0.0, 1e-7, 1e16])
+        edge = np.resize([-0.0, 5e-324, 1e308, 1 / 3, -1e308, 0.0, 1e-7, 1e16],
+                         144)
         write_contour_csv(tmp_path / "new.csv", ContourProfile(edge))
-        csv_writer_reference(tmp_path / "ref.csv", uniform_theta(8), edge)
+        csv_writer_reference(tmp_path / "ref.csv", THETA, edge)
         raw = (tmp_path / "new.csv").read_bytes()
         assert raw == (tmp_path / "ref.csv").read_bytes()
         assert raw.startswith(b"theta_rad,value_mm\n0.0,-0.0\n")
-
-    def test_bytes_match_csv_writer_when_grids_alternate(self, tmp_path):
-        # the angle cells are formatted once per sample count and kept: every
-        # count, each one again after others pushed it out, must still write
-        # the reference bytes
-        rng = np.random.default_rng(11)
-        held = geometry._angle_cells.cache_info().maxsize
-        counts = [8, 144, 2000] + [4 * k for k in range(3, held + 6)]
-        for n in counts * 2 + counts[:3]:
-            values = 35.0 + rng.normal(0.0, 1.0, n)
-            data = write_contour_csv(tmp_path / "new.csv", ContourProfile(values))
-            csv_writer_reference(tmp_path / "ref.csv", uniform_theta(n), values)
-            assert data == (tmp_path / "ref.csv").read_bytes()
-            assert (tmp_path / "new.csv").read_bytes() == data
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     @pytest.mark.parametrize("blank_every,quote_every", [(0, 0), (7, 0), (0, 5),

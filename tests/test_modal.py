@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from earforge.errors import ValidationError
-from earforge.geometry import ContourProfile, deviation_vector, uniform_theta
+from earforge.geometry import THETA, ContourProfile, deviation_vector
 from earforge.modal import (ModalBasis, ModalCoordinates, analytic_mode,
                             build_modal_basis, coordinates_text, decompose,
                             lumped_mass_diagonal, project)
@@ -206,9 +206,8 @@ class TestCoordinatesCsv:
 class TestDecompose:
     @pytest.mark.parametrize("n_modes", [2, 5, 9])
     def test_projects_the_deviation_vector_on_every_mode(self, n_modes):
-        theta = uniform_theta(144)
-        profile = ContourProfile(35.2 + 0.4 * np.cos(4 * theta)
-                                 - 0.1 * np.cos(2 * theta))
+        profile = ContourProfile(35.2 + 0.4 * np.cos(4 * THETA)
+                                 - 0.1 * np.cos(2 * THETA))
         basis = build_modal_basis(n_modes=n_modes)
         coords = decompose(profile, 35.0, basis)
         expected = project(deviation_vector(profile, 35.0), basis)

@@ -7,14 +7,20 @@ from earforge import campaign as cp
 from earforge.doe import Factor, FactorSpace
 from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
                              InvalidBlankError, ValidationError)
-from earforge.geometry import (BlankSpec, ContourProfile, deviation_vector,
-                               ear_amplitude, quarter_nodes, uniform_theta,
-                               write_contour_csv)
-from earforge.modal import analytic_mode, build_modal_basis, project
+from earforge.geometry import (THETA, BlankSpec, ContourProfile,
+                               deviation_vector, ear_amplitude, quarter_nodes,
+                               read_rim_csv, write_contour_csv)
+from earforge.modal import (analytic_mode, build_modal_basis, decompose,
+                            project)
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
 
 ISOTROPIC = MaterialAnisotropy(2.0, 2.0, 2.0)
+
+
+def ring(n):
+    """n uniform angles 2*pi*k/n over [0, 2*pi): an export's sampling."""
+    return 2.0 * np.pi * np.arange(n) / n
 
 
 class TestMaterial:
@@ -64,7 +70,7 @@ class TestSimulate:
 
     def test_invalid_blank_propagates(self):
         with pytest.raises(InvalidBlankError):
-            simulate(BlankSpec(4.0, a2=2.5), DC05, n_points=16)
+            simulate(BlankSpec(4.0, a2=2.5), DC05)
 
     def test_deterministic(self):
         a = simulate(BlankSpec(117.0, 0.5, -0.5), DC05)
@@ -103,7 +109,7 @@ class TestIngestProfile:
             ingest_profile(path)
 
     def test_duplicate_angles_are_ambiguous(self, tmp_path):
-        theta = uniform_theta(16).tolist()
+        theta = ring(16).tolist()
         theta[5] = theta[4]
         path = tmp_path / "dup.csv"
         lines = ["theta_rad,value_mm"] + [f"{t},35.0" for t in theta]
@@ -115,7 +121,7 @@ class TestIngestProfile:
     @pytest.mark.parametrize("last, error", [
         (35.5, None), (99.0, AmbiguousProfileError)])
     def test_sample_one_turn_later(self, tmp_path, last, error):
-        theta = uniform_theta(16)
+        theta = ring(16)
         lines = ["theta_rad,value_mm"] + [
             f"{t!r},{35.0 + 0.5 * math.cos(4 * t)!r}" for t in theta.tolist()]
         path = tmp_path / "closed.csv"
@@ -144,7 +150,7 @@ class TestIngestProfile:
             ingest_profile(path)
 
     def test_point_cloud_conversion(self, tmp_path):
-        theta = uniform_theta(144)
+        theta = THETA
         height = 35.0 + 0.8 * np.cos(4 * theta) - 0.1 * np.cos(8 * theta)
         radius = 33.0
         x = radius * np.cos(theta) + 12.5   # rim centered away from origin
@@ -160,10 +166,9 @@ class TestIngestProfile:
         assert np.max(np.abs(profile.height - height)) <= 1e-9
 
     def test_point_cloud_missing_a_sector(self, tmp_path):
-        # 144 points, none on (1, 2) rad nor on the opposite sector, so the
-        # centroid stays on the axis: two gaps of 24 sample steps, pi/3 each
-        theta = uniform_theta(144)
-        theta = theta[np.abs((theta % np.pi) - 1.5) >= 0.5]
+        # the grid's points, none on (1, 2) rad nor on the opposite sector:
+        # two gaps of 24 sample steps, pi/3 each
+        theta = THETA[np.abs((THETA % np.pi) - 1.5) >= 0.5]
         path = tmp_path / "cloud.csv"
         lines = ["x_mm,y_mm,z_mm"] + [
             f"{30 * math.cos(t)!r},{30 * math.sin(t)!r},35.0"
@@ -173,6 +178,25 @@ class TestIngestProfile:
                            match=r"gap of 1\.047197\d* rad after theta = "
                                  r"(0\.959931|4\.101523)"):
             ingest_profile(path)
+
+    def test_unevenly_sampled_cloud_reads_as_its_polar_file(self, tmp_path):
+        # twice as many points on [0, pi) as on [pi, 2*pi): their mean lies
+        # 6.4 mm off the axis, the fitted circle's centre on it
+        theta = np.concatenate([np.pi * np.arange(400) / 400,
+                                np.pi + np.pi * np.arange(200) / 200])
+        height = 35.0 + 0.5 * np.cos(4 * theta)
+        cloud = rim_file(tmp_path / "cloud.csv", ("x_mm", "y_mm", "z_mm"),
+                         zip((30 * np.cos(theta) - 7.0).tolist(),
+                             (30 * np.sin(theta) + 2.0).tolist(),
+                             height.tolist()))
+        polar = rim_file(tmp_path / "polar.csv", ("theta_rad", "value_mm"),
+                         zip(theta.tolist(), height.tolist()))
+        basis = build_modal_basis()
+        got = decompose(ingest_profile(cloud), 35.0, basis)
+        want = decompose(ingest_profile(polar), 35.0, basis)
+        assert want.lambdas[2] == pytest.approx(0.5, abs=2e-3)
+        assert np.max(np.abs(got.lambdas - want.lambdas)) <= 1e-9
+        assert got.residue == pytest.approx(want.residue, abs=1e-9)
 
     def test_point_cloud_resamples_nonuniform_angles(self, tmp_path):
         # jittered sampling, the usual texture of a rim export
@@ -187,9 +211,42 @@ class TestIngestProfile:
             f"{float(a)!r},{float(b)!r},{float(c)!r}"
             for a, b, c in zip(x, y, height)]
         path.write_text("\n".join(lines) + "\n")
-        profile = ingest_profile(path, n_points=144)
+        profile = ingest_profile(path)
         expected = 35.0 + 0.5 * np.cos(2 * profile.theta)
         assert np.max(np.abs(profile.height - expected)) <= 5e-3
+
+
+def rim_file(path, header, rows):
+    """Write rows of numbers under header as a rim CSV; returns path."""
+    lines = [",".join(header)] + [",".join(map(repr, r)) for r in rows]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("source", ["simulate", "polar-37", "cloud-2000",
+                                    "run-csv"])
+def test_every_profile_lies_on_the_grid(tmp_path, source):
+    # whatever sampling comes in, a profile is 144 heights on THETA
+    rng = np.random.default_rng(53)
+    rim = simulate(BlankSpec(117.2, 0.3, -0.5), DC05)
+    if source == "polar-37":
+        rows = [(t, 35.0 + 0.4 * math.cos(4 * t)) for t in ring(37).tolist()]
+        rim = ingest_profile(rim_file(tmp_path / "rim.csv",
+                                      ("theta_rad", "value_mm"), rows))
+    elif source == "cloud-2000":
+        theta = np.sort(rng.uniform(0.0, 2 * np.pi, 2000))
+        rows = zip((12.0 + 30 * np.cos(theta)).tolist(),
+                   (30 * np.sin(theta) - 5.0).tolist(),
+                   (35.0 + 0.4 * np.cos(4 * theta)).tolist())
+        rim = ingest_profile(rim_file(tmp_path / "rim.csv",
+                                      ("x_mm", "y_mm", "z_mm"), rows))
+    elif source == "run-csv":
+        write_contour_csv(tmp_path / "run_01.csv", rim)
+        rows = read_rim_csv(tmp_path / "run_01.csv")[1]
+        assert rows[:, 0].tolist() == THETA.tolist()
+        rim = ingest_profile(tmp_path / "run_01.csv")
+    assert rim.height.shape == (144,)
+    assert rim.theta is THETA
 
 
 @pytest.fixture(scope="module")
@@ -220,8 +277,7 @@ class TestRunDesign:
         # quarter shape on the analytic cosine set, scaled by the rim gain
         cfg = simulated.config
         modes = np.column_stack([analytic_mode(k) for k in range(1, 6)])
-        theta = uniform_theta(144)
-        shape = np.interp(quarter_nodes(), theta, np.cos(4 * theta))
+        shape = np.interp(quarter_nodes(), THETA, np.cos(4 * THETA))
         transmission = np.linalg.lstsq(modes, shape, rcond=None)[0][2]
         oracle = cfg.surrogate.c_ear * cfg.material.delta_r * transmission
         assert oracle == pytest.approx(0.8578951525155493, abs=1e-12)

@@ -69,7 +69,6 @@ class CampaignConfig:
     cup: CupSpec = field(default_factory=lambda: CupSpec(66.03, 35.0))
     material: MaterialAnisotropy = DC05
     surrogate: SurrogateParams = field(default_factory=SurrogateParams)
-    n_modes: int = 5
 
     def __post_init__(self):
         # the plant reads each design point as a blank (D, A1, A2)
@@ -77,8 +76,6 @@ class CampaignConfig:
             raise ValidationError(
                 f"campaign factors must be ('D', 'A1', 'A2'), "
                 f"got {self.space.names}")
-        # refuse now what simulate would refuse only after design
-        modal.check_n_modes(self.n_modes)
         geometry.check_finite(self)
         if self.target_height <= 0:
             raise ValidationError(
@@ -182,11 +179,17 @@ def _write_profile(campaign_dir: Path, rel: str, profile: ContourProfile) -> str
     return _sha256(geometry.write_contour_csv(campaign_dir / rel, profile))
 
 
+def _no_state(campaign_dir: Path) -> FreshStateError:
+    return FreshStateError(
+        f"no campaign state in {campaign_dir}; run "
+        f"`earforge --campaign {campaign_dir} init` first")
+
+
 @contextlib.contextmanager
 def campaign_lock(campaign_dir):
-    """Advisory single-writer lock on a campaign directory."""
+    """Advisory single-writer lock on an existing campaign directory: a
+    missing one holds no state, and locking it creates nothing."""
     campaign_dir = Path(campaign_dir)
-    campaign_dir.mkdir(parents=True, exist_ok=True)
     lock_path = campaign_dir / LOCK_FILE
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -194,6 +197,8 @@ def campaign_lock(campaign_dir):
         raise CampaignLockedError(
             f"{lock_path} exists; another process is writing this campaign "
             f"(remove the file if that process is gone)") from None
+    except FileNotFoundError:
+        raise _no_state(campaign_dir) from None
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -326,38 +331,49 @@ def _model_fields(response: str, entry: dict) -> dict:
 
 
 def _check_layout(state: CampaignState) -> None:
-    """Each per-mode section holds n_modes entries, the models use the factors,
-    and each rim file is where its stage put it, inside the campaign."""
-    cfg, v = state.config, state.verification
+    """Each per-mode section holds N_MODES entries, the models use the
+    factors, each run record is its design point as simulate recorded it, and
+    each rim file is where its stage put it, inside the campaign."""
+    cfg, v, design = state.config, state.verification, state.design
     sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
     sized += [("models", state.models),
               ("optimum.predicted", getattr(state.optimum, "predicted", None))]
     sized += [(f"verification.{k}", getattr(v, k, None))
               for k in ("optimum_lambdas", "baseline_lambdas")]
     for section, values in sized:
-        if values is not None and len(values) != cfg.n_modes:
+        if values is not None and len(values) != modal.N_MODES:
             raise StateIntegrityError(f"{section} holds {len(values)} entries, "
-                                      f"not n_modes = {cfg.n_modes}")
+                                      f"not n_modes = {modal.N_MODES}")
     if any(m.factor_names != cfg.space.names for m in state.models or ()):
         raise StateIntegrityError(f"models must use the factors {cfg.space.names}")
-    pinned = [(f"runs[{i}].{k}", getattr(r, k), want)
-              for i, r in enumerate(state.runs)
-              for k, want in (("run", i + 1),
-                              ("profile_file", RUN_RIM.format(i + 1)))]
+    pinned = []
+    if state.runs:  # the lifecycle check has put the design before them
+        if len(state.runs) != design.n_points:
+            raise StateIntegrityError(f"runs holds {len(state.runs)} entries, "
+                                      f"not the design's {design.n_points}")
+        points = design.points.tolist()
+        blanks = to_physical(cfg.space, design.points).tolist()
+        pinned = [(f"runs[{i}].{k}", getattr(r, k), want)
+                  for i, r in enumerate(state.runs)
+                  for k, want in (("run", i + 1), ("role", design.roles[i]),
+                                  ("normalized", tuple(points[i])),
+                                  ("blank", tuple(blanks[i])),
+                                  ("profile_file", RUN_RIM.format(i + 1)))]
     pinned += [(f"verification.{k}", getattr(v, k, want), want) for k, want
                in (("baseline_file", BASELINE_RIM), ("optimum_file", OPTIMUM_RIM))]
     for where, got, want in pinned:
-        if got != want:
+        if repr(got) != repr(want):  # bit for bit: -0.0 is not 0.0
             raise StateIntegrityError(f"{where} must be {want!r}, got {got!r}")
 
 
 def state_to_dict(state: CampaignState) -> dict:
-    # schema 1's layout: a flat config with the grid size, models and optimum
-    # as in their files
+    # schema 1's layout: a flat config with the grid size and the mode count,
+    # models and optimum as in their files
     d = {name: _encode(getattr(state, name))
          for name, *_ in _plan(CampaignState)
          if name not in ("models", "optimum")}
-    d["config"].update(d["config"].pop("space"), n_points=geometry.N_POINTS)
+    d["config"].update(d["config"].pop("space"), n_points=geometry.N_POINTS,
+                       n_modes=modal.N_MODES)
     d["models"] = (None if state.models is None
                    else _models_to_dict(state.models))
     d["optimum"] = (None if state.optimum is None
@@ -370,13 +386,16 @@ def state_from_dict(d: dict) -> CampaignState:
         raise MigrationNeededError(
             f"campaign state has schema {d.get('schema_version')!r}; this "
             f"earforge reads schema {SCHEMA_VERSION} only")
-    # undo schema 1's layout (a flat config with the one grid's size, models
-    # and optimum as in their files), reading per-mode keys as L1..Ln in order
+    # undo schema 1's layout (a flat config with the one grid's size and the
+    # one mode count, models and optimum as in their files), reading per-mode
+    # keys as L1..Ln in order
     config = dict(d["config"])
-    n_points = _decode(int, config.pop("n_points"), "CampaignConfig.n_points")
-    if n_points != geometry.N_POINTS:
-        raise StateIntegrityError(f"CampaignConfig.n_points must be "
-                                  f"{geometry.N_POINTS}, got {n_points}")
+    for key, want in (("n_points", geometry.N_POINTS),
+                      ("n_modes", modal.N_MODES)):
+        got = _decode(int, config.pop(key), f"CampaignConfig.{key}")
+        if got != want:
+            raise StateIntegrityError(
+                f"CampaignConfig.{key} must be {want}, got {got}")
     config["space"] = {"factors": config.pop("factors"),
                        "alpha": config.pop("alpha")}
     models, opt = d["models"], d["optimum"]
@@ -390,7 +409,6 @@ def state_from_dict(d: dict) -> CampaignState:
     state = _decode(CampaignState,
                     {**d, "config": config, "models": models, "optimum": opt},
                     "campaign state")
-    _check_layout(state)
     # the design must be the config's CCD, bit for bit, so the fit has full
     # rank (equal roles fix the row count, equal bytes then the rest)
     design = state.design
@@ -407,6 +425,7 @@ def state_from_dict(d: dict) -> CampaignState:
         raise StateIntegrityError(
             "state file violates the campaign lifecycle (later stage "
             "present without its predecessor)")
+    _check_layout(state)
     return state
 
 
@@ -424,9 +443,7 @@ def load_state(campaign_dir) -> CampaignState:
     campaign_dir = Path(campaign_dir)
     path = campaign_dir / STATE_FILE
     if not path.exists():
-        raise FreshStateError(
-            f"no campaign state in {campaign_dir}; run "
-            f"`earforge --campaign {campaign_dir} init` first")
+        raise _no_state(campaign_dir)
     try:
         d = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
@@ -486,7 +503,7 @@ def simulate_campaign(state: CampaignState, campaign_dir,
     campaign_dir = Path(campaign_dir)
     (campaign_dir / RUNS_DIR).mkdir(parents=True, exist_ok=True)
     cfg = state.config
-    basis = modal.build_modal_basis(n_modes=cfg.n_modes)
+    basis = modal.build_modal_basis()
     physical = to_physical(cfg.space, state.design.points)
     records = []
     for i, (point, role, phys) in enumerate(
@@ -515,7 +532,7 @@ def simulate_campaign(state: CampaignState, campaign_dir,
 
 def response_table(state: CampaignState) -> ResponseTable:
     """Collected modal coordinates of the executed runs, in design order."""
-    return ResponseTable(names=tuple(_responses(state.config.n_modes)),
+    return ResponseTable(names=tuple(_responses(modal.N_MODES)),
                          values=np.array([r.lambdas for r in state.runs]))
 
 
@@ -549,7 +566,7 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     campaign_dir = Path(campaign_dir)
     (campaign_dir / RUNS_DIR).mkdir(parents=True, exist_ok=True)
     cfg = state.config
-    basis = modal.build_modal_basis(n_modes=cfg.n_modes)
+    basis = modal.build_modal_basis()
 
     d0 = geometry.initial_blank_diameter(cfg.cup)
     baseline_profile = plant.simulate(BlankSpec(d0), cfg.material,

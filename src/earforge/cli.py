@@ -52,8 +52,6 @@ def _parser() -> argparse.ArgumentParser:
                                      "point cloud CSV (x_mm,y_mm,z_mm)")
     dec.add_argument("--target", type=float, default=35.0,
                      help="target rim height, mm (default 35)")
-    dec.add_argument("--modes", type=int, default=modal.DEFAULT_N_MODES,
-                     help="number of modes (default 5)")
     dec.add_argument("--output", metavar="FILE", default=None,
                      help="write coordinates CSV here instead of stdout")
     return parser
@@ -69,8 +67,7 @@ def _campaign_dir(args) -> Path:
 
 def _cmd_decompose(args) -> int:
     profile = plant.ingest_profile(args.profile)
-    coords = modal.decompose(profile, args.target,
-                             modal.build_modal_basis(n_modes=args.modes))
+    coords = modal.decompose(profile, args.target, modal.build_modal_basis())
     text = modal.coordinates_text(coords)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8", newline="\n")
@@ -85,7 +82,8 @@ def _dispatch(args) -> int:
         return _cmd_decompose(args)
 
     campaign_dir = _campaign_dir(args)
-    if args.command == "init":
+    if args.command == "init":  # the one command that makes the directory
+        campaign_dir.mkdir(parents=True, exist_ok=True)
         with cp.campaign_lock(campaign_dir):
             cp.init_campaign(campaign_dir)
         print(f"initialized campaign in {campaign_dir}")

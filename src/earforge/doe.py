@@ -64,16 +64,11 @@ class FactorSpace:
         return len(self.factors)
 
 
-def default_factor_space(alpha: float = DEFAULT_ALPHA) -> FactorSpace:
+def default_factor_space() -> FactorSpace:
     """Blank factor space: D = 117 +- 1.5 mm, A1 and A2 = 0 +- 1.5 mm."""
-    return FactorSpace(
-        factors=(
-            Factor("D", 117.0, 1.5),
-            Factor("A1", 0.0, 1.5),
-            Factor("A2", 0.0, 1.5),
-        ),
-        alpha=alpha,
-    )
+    return FactorSpace(factors=(Factor("D", 117.0, 1.5),
+                                Factor("A1", 0.0, 1.5),
+                                Factor("A2", 0.0, 1.5)))
 
 
 @dataclass(frozen=True)

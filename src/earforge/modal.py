@@ -16,7 +16,7 @@ import numpy as np
 from . import geometry
 from .errors import NumericError, ValidationError
 
-DEFAULT_N_MODES = 5
+N_MODES = 5  # L1..L5: size, two-, four-, six- and eight-lobe
 _N = geometry.QUARTER_NODES  # nodes of the quarter chain
 
 
@@ -49,8 +49,8 @@ class ModalBasis:
     rigid-body constant mode. Pulsations are informational (unit material).
     """
 
-    modes: np.ndarray       # (QUARTER_NODES, n_modes)
-    pulsations: np.ndarray  # (n_modes,), rad/s
+    modes: np.ndarray       # (QUARTER_NODES, N_MODES)
+    pulsations: np.ndarray  # (N_MODES,), rad/s
     mass: np.ndarray        # (QUARTER_NODES,), lumped mass diagonal
 
 
@@ -61,30 +61,18 @@ def analytic_mode(k: int) -> np.ndarray:
     return np.cos((k - 1) * np.pi * np.arange(_N) / (_N - 1))
 
 
-def build_modal_basis(*, n_modes: int = DEFAULT_N_MODES) -> ModalBasis:
+@functools.cache
+def build_modal_basis() -> ModalBasis:
     """Solve the generalized eigenproblem (K - w^2 M) Q = 0 of the chain.
 
-    Returns the n_modes lowest-pulsation modes, each normalized to unit
+    Returns the N_MODES lowest-pulsation modes, each normalized to unit
     infinity-norm with the sign fixed so the first non-zero entry is positive.
     The mass matrix is diagonal, so the problem reduces to a standard
     symmetric one through M^(-1/2) scaling.
 
-    The basis is solved once per n_modes and shared: every call with the
-    same count returns the same object, whose arrays are read-only.
+    The basis is solved at the first call and shared: every call returns the
+    same object, whose arrays are read-only.
     """
-    return _solved_basis(n_modes)
-
-
-def check_n_modes(n_modes: int) -> None:
-    """Refuse a mode count the quarter chain cannot supply, without solving it."""
-    if n_modes < 2 or n_modes > _N:
-        raise ValidationError(
-            f"need 2 <= n_modes <= n_nodes, got n_modes={n_modes}, n_nodes={_N}")
-
-
-@functools.lru_cache(maxsize=64)
-def _solved_basis(n_modes: int) -> ModalBasis:
-    check_n_modes(n_modes)
     m = lumped_mass_diagonal()
     k = second_difference_stiffness()
     inv_sqrt_m = 1.0 / np.sqrt(m)
@@ -95,16 +83,16 @@ def _solved_basis(n_modes: int) -> ModalBasis:
     except np.linalg.LinAlgError as exc:
         raise NumericError(
             f"eigen solver failed on the {_N}-node chain: {exc}") from exc
-    modes = inv_sqrt_m[:, None] * eigvecs[:, :n_modes]
+    modes = inv_sqrt_m[:, None] * eigvecs[:, :N_MODES]
     # unit infinity-norm, first non-zero entry positive
     scale = np.max(np.abs(modes), axis=0)
     modes = modes / scale
-    for i in range(n_modes):
+    for i in range(N_MODES):
         col = modes[:, i]
         lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
         if lead < 0:
             modes[:, i] = -col
-    pulsations = np.sqrt(np.clip(eigvals[:n_modes], 0.0, None))
+    pulsations = np.sqrt(np.clip(eigvals[:N_MODES], 0.0, None))
     for a in (modes, pulsations, m):
         a.setflags(write=False)
     return ModalBasis(modes=modes, pulsations=pulsations, mass=m)

@@ -80,14 +80,14 @@ def polar_deviation_svg(theta: np.ndarray, deviation: np.ndarray,
 def modal_bars_svg(series: list[tuple[str, np.ndarray]], title: str) -> str:
     """Grouped bar chart of modal coordinates, one group per mode."""
     colors = ("#2980b9", "#c0392b", "#27ae60")
-    n_modes = len(series[0][1])
+    n = len(series[0][1])
     left, right, top, bottom = 70.0, 30.0, 50.0, 60.0
     plot_w = _W - left - right
     plot_h = _H - top - bottom
     vmax = max(max(float(np.max(np.abs(v))) for _, v in series), 1e-9)
     y0 = top + plot_h / 2.0
     yscale = (plot_h / 2.0 - 10.0) / vmax
-    group_w = plot_w / n_modes
+    group_w = plot_w / n
     bar_w = group_w / (len(series) + 1)
     elems = [
         _text(_W / 2.0, 24, title, size=15, anchor="middle"),
@@ -97,7 +97,7 @@ def modal_bars_svg(series: list[tuple[str, np.ndarray]], title: str) -> str:
         _text(left - 8, y0 - vmax * yscale + 4, f"{vmax:.3g}", size=11,
               anchor="end", color="#777777"),
     ]
-    for k in range(n_modes):
+    for k in range(n):
         gx = left + k * group_w
         elems.append(_text(gx + group_w / 2.0, y0 + plot_h / 2.0 + 20,
                            f"L{k + 1}", size=12, anchor="middle"))

@@ -45,7 +45,7 @@ def default_design(default_space):
 
 @pytest.fixture(scope="session")
 def basis36():
-    return build_modal_basis(n_modes=5)
+    return build_modal_basis()
 
 
 @pytest.fixture(scope="session")

@@ -142,6 +142,24 @@ class TestCliLifecycle:
         assert cli_main(["--campaign", str(tmp_path / "none"), "design"]) == 2
         assert "init" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["design", "simulate", "fit",
+                                         "optimize", "verify", "report"])
+    def test_command_on_missing_dir_creates_nothing(self, tmp_path, capsys,
+                                                    command):
+        # a mistyped path is refused without leaving directories behind
+        d = tmp_path / "typo" / "deep"
+        assert cli_main(["--campaign", str(d), command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: no campaign state in {d}; run "
+            f"`earforge --campaign {d} init` first\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_init_makes_a_nested_directory(self, tmp_path):
+        d = tmp_path / "new" / "deep"
+        assert cli_main(["--campaign", str(d), "init"]) == 0
+        assert cp.load_state(d).stage == "configured"
+        assert sorted(p.name for p in d.iterdir()) == ["campaign.json"]
+
     @pytest.mark.parametrize("command, needed", [
         ("fit", "a simulated"), ("verify", "an optimized")])
     def test_out_of_order_names_the_needed_stage(self, tmp_path, capsys,
@@ -187,6 +205,16 @@ class TestDecompose:
     def test_missing_file_is_validation_error(self, tmp_path):
         assert cli_main(["decompose", str(tmp_path / "nope.csv")]) == 2
 
+    def test_mode_count_option_is_a_usage_error(self, tmp_path, capsys):
+        # the mode count is five, not an option
+        path = tmp_path / "flat.csv"
+        write_contour_csv(path, ContourProfile(np.full(144, 35.0)))
+        assert cli_main(["decompose", str(path), "--modes", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: earforge")
+        assert "unrecognized arguments: --modes 7" in captured.err
+
     @pytest.mark.parametrize("cloud", [False, True], ids=["polar", "cloud"])
     def test_byte_order_mark_is_ignored(self, tmp_path, capsys, cloud):
         # spreadsheet exports start with a UTF-8 byte-order mark
@@ -225,12 +253,11 @@ class TestParserReuse:
         return str(path)
 
     def test_no_state_leaks_between_calls(self, flat, capsys):
-        assert cli_main(["decompose", flat, "--modes", "7",
-                         "--target", "34.5"]) == 0
+        assert cli_main(["decompose", flat, "--target", "34.5"]) == 0
         first = capsys.readouterr().out.splitlines()
         assert cli_main(["decompose", flat]) == 0
         second = capsys.readouterr().out.splitlines()
-        assert len(first) == 1 + 7 + 1
+        assert len(first) == 1 + 5 + 1
         assert float(first[1].split(",")[1]) == pytest.approx(0.5)
         assert len(second) == 1 + 5 + 1
         assert float(second[1].split(",")[1]) == pytest.approx(0.0, abs=1e-12)
@@ -301,11 +328,10 @@ class TestStatePersistence:
             assert rebuilt.residual_rms == orig.residual_rms
             assert rebuilt.max_abs_residual == orig.max_abs_residual
 
-    def test_cli_and_library_agree_with_ten_modes(self, tmp_path):
-        # campaign.json sorts its keys, so L10 precedes L2 there; a stage
-        # that reloads the state must still read the modes in index order,
-        # and compute from them the bits the in-process run computes
-        config = dataclasses.replace(cp.default_config(), n_modes=10)
+    def test_cli_and_library_agree(self, tmp_path):
+        # a stage that reloads the state must compute from it the bits the
+        # in-process run computes, on a config other than the default
+        config = dataclasses.replace(cp.default_config(), target_height=34.5)
         cp.init_campaign(tmp_path / "cli", config)
         run_pipeline(tmp_path / "cli", "design", "simulate", "fit",
                      "optimize", "verify")
@@ -321,7 +347,7 @@ class TestStatePersistence:
             docs.append(doc)
         assert docs[0] == docs[1]
         assert [m.response for m in cp.load_state(tmp_path / "cli").models] \
-            == [f"L{i}" for i in range(1, 11)]
+            == ["L1", "L2", "L3", "L4", "L5"]
 
     def test_loaded_models_compare_equal(self, full_campaign):
         state = cp.load_state(full_campaign)
@@ -447,6 +473,12 @@ def _swap_roles(doc):
     return doc
 
 
+def _swap_run_roles(doc):
+    runs = doc["runs"]  # the centre run and the first star run
+    runs[8]["role"], runs[9]["role"] = runs[9]["role"], runs[8]["role"]
+    return doc
+
+
 def _refused_after_edit(campaign_dir, capsys, stage, edit) -> str:
     """Run the stages before `stage`, edit campaign.json, then run `stage`:
     it must exit 2 with a message, writing nothing. Returns stderr."""
@@ -484,8 +516,12 @@ class TestMalformedState:
          "SurrogateParams.k_d must be float"),
         (_set("target_height", value=True),
          "CampaignConfig.target_height must be float"),
-        (_set("n_modes", value=1), "need 2 <= n_modes <= n_nodes"),
-        (_set("n_modes", value=37), "need 2 <= n_modes <= n_nodes"),
+        # the mode count is five, so no other count loads, not even one the
+        # quarter chain could supply (7)
+        (_set("n_modes", value=1), "CampaignConfig.n_modes must be 5, got 1"),
+        (_set("n_modes", value=37), "CampaignConfig.n_modes must be 5, got 37"),
+        (_set("n_modes", value=7), "CampaignConfig.n_modes must be 5, got 7"),
+        (_set("n_modes", value=True), "CampaignConfig.n_modes must be int"),
         # every rim is on the 144-sample grid, so no other count loads
         (_set("n_points", value=10), "CampaignConfig.n_points must be 144"),
         (_set("n_points", value=288), "CampaignConfig.n_points must be 144"),
@@ -498,6 +534,7 @@ class TestMalformedState:
     ], ids=["no-n_modes", "no-cup-height", "cup-is-int", "top-level-array",
             "a1-a2-swapped", "no-a2", "n_modes-is-str", "n_points-is-float",
             "k_d-is-str", "target-is-bool", "n_modes-1", "n_modes-37",
+            "n_modes-7", "n_modes-is-bool",
             "n_points-10", "n_points-288", "n_points-is-bool", "no-n_points",
             "target-negative", "target-past-float",
             "not-utf8"])
@@ -516,13 +553,18 @@ class TestMalformedState:
         assert not (d / "design.csv").exists()
         assert not (d / "runs").exists()
 
-    def test_config_check_solves_no_basis(self, monkeypatch):
-        # loading a state checks n_modes without solving the eigenproblem
-        solved = []
-        monkeypatch.setattr(modal, "_solved_basis",
-                            lambda *sizes: solved.append(sizes))
+    def test_config_check_solves_no_basis(self, tmp_path, monkeypatch):
+        # only the stages that decompose a rim (simulate, verify) ask for
+        # the modal basis
+        calls, build = [], modal.build_modal_basis
+        monkeypatch.setattr(modal, "build_modal_basis",
+                            lambda: calls.append(stage) or build())
+        stage = "default_config"
         cp.default_config()
-        assert solved == []
+        for stage in ("init", "design", "simulate", "fit", "optimize",
+                      "verify", "report"):
+            run_pipeline(tmp_path / "camp", stage)
+        assert calls == ["simulate", "verify"]
 
     def test_optimum_f_value_is_checked(self, tmp_path, capsys):
         d = tmp_path / "camp"
@@ -582,6 +624,17 @@ class TestMalformedState:
         ("report", _put("verification", "optimum_file",
                         value="runs/run_01.csv"),
          "verification.optimum_file must be 'runs/optimum.csv'"),
+        # each run record is its design point, as simulate recorded it
+        ("fit", _put("runs", 0, "blank", value=[200, 9, -9]),
+         "runs[0].blank must be (115.5, -1.5, -1.5), got (200.0, 9.0, -9.0)"),
+        ("verify", _put("runs", 0, "normalized", value=[0.5, 0.5, 0.5]),
+         "runs[0].normalized must be (-1.0, -1.0, -1.0), got (0.5, 0.5, 0.5)"),
+        ("report", _swap_run_roles,
+         "runs[8].role must be 'center', got 'star'"),
+        ("fit", _put("runs", 8, "normalized", value=[-0.0, 0.0, 0.0]),
+         "runs[8].normalized must be (0.0, 0.0, 0.0), got (-0.0, 0.0, 0.0)"),
+        ("report", lambda doc: {**doc, "runs": doc["runs"] + doc["runs"][:1]},
+         "runs holds 16 entries, not the design's 15"),
     ], ids=["design-point-is-str", "run-lambda-is-str", "run-lambda-is-bool",
             "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
             "no-model-L5", "model-factors", "optimum-point-is-str",
@@ -589,7 +642,8 @@ class TestMalformedState:
             "verified-has-2-lambdas", "baseline-has-1-lambda",
             "design-point-is-nan", "run-lambda-is-nan",
             "coefficient-is-inf", "verified-lambda-is-inf", "run-number",
-            "baseline-file", "optimum-file"])
+            "baseline-file", "optimum-file", "run-blank", "run-normalized",
+            "run-roles-swapped", "run-negative-zero", "run-added"])
     def test_later_stage_exits_2(self, tmp_path, capsys, stage, edit, message):
         # the edit goes into the state the stages before `stage` left; the
         # stage must stop before writing anything
@@ -954,6 +1008,7 @@ class TestVerificationEdgeCases:
         config = cp.default_config()
         config.material = MaterialAnisotropy(2.0, 2.0, 2.0)
         config.surrogate = SurrogateParams(c8=0.0, kappa4_6=0.0)
+        d.mkdir()  # only `init` makes the directory; the lock needs it first
         with cp.campaign_lock(d):
             state = cp.init_campaign(d, config)
             state = cp.design_campaign(state, d)
@@ -1034,6 +1089,7 @@ class TestLocking:
 
     def test_lock_context_manager(self, tmp_path):
         d = tmp_path / "camp"
+        d.mkdir()  # locking a missing directory creates nothing
         with cp.campaign_lock(d):
             assert (d / "campaign.lock").exists()
             with pytest.raises(CampaignLockedError):

@@ -44,16 +44,19 @@ class TestBasisConstruction:
             assert err <= 0.02
             assert err <= 1e-12  # the lumped chain reproduces them exactly
 
-    def test_basis_is_solved_once_per_size(self, basis36):
+    def test_basis_is_solved_once(self, basis36):
+        # every call returns the one shared five-mode basis, whose arrays
+        # test_shared_basis_is_read_only finds read-only
         assert build_modal_basis() is basis36
-        assert build_modal_basis(n_modes=5) is basis36
-        assert build_modal_basis(n_modes=4) is build_modal_basis(n_modes=4)
-        assert build_modal_basis(n_modes=4) is not basis36
+        assert build_modal_basis() is build_modal_basis()
+        assert basis36.modes.shape == (36, 5)
+        assert basis36.pulsations.shape == (5,)
 
-    def test_mode_count_is_keyword_only(self):
-        # a positional count is refused: it cannot be misread as 20 nodes
-        with pytest.raises(TypeError):
-            build_modal_basis(20)
+    def test_takes_no_argument(self):
+        # the mode count is N_MODES, not a parameter
+        for args, kwargs in (((5,), {}), ((20,), {}), ((), {"n_modes": 5})):
+            with pytest.raises(TypeError):
+                build_modal_basis(*args, **kwargs)
 
     def test_shared_basis_is_read_only(self, basis36):
         for array in (basis36.modes, basis36.pulsations, basis36.mass):
@@ -62,13 +65,6 @@ class TestBasisConstruction:
         with pytest.raises(ValueError):
             basis36.modes[:, 1] *= 2.0
         assert np.allclose(basis36.modes[:, 0], 1.0, rtol=0, atol=1e-12)
-
-    def test_mode_count_validation(self):
-        with pytest.raises(ValidationError):
-            build_modal_basis(n_modes=1)
-        with pytest.raises(ValidationError, match="need 2 <= n_modes <= n_nodes, "
-                                                  "got n_modes=37, n_nodes=36"):
-            build_modal_basis(n_modes=37)
 
 
 class TestAnalyticMode:
@@ -204,14 +200,12 @@ class TestCoordinatesCsv:
 
 
 class TestDecompose:
-    @pytest.mark.parametrize("n_modes", [2, 5, 9])
-    def test_projects_the_deviation_vector_on_every_mode(self, n_modes):
+    def test_projects_the_deviation_vector_on_every_mode(self, basis36):
         profile = ContourProfile(35.2 + 0.4 * np.cos(4 * THETA)
                                  - 0.1 * np.cos(2 * THETA))
-        basis = build_modal_basis(n_modes=n_modes)
-        coords = decompose(profile, 35.0, basis)
-        expected = project(deviation_vector(profile, 35.0), basis)
-        assert coords.lambdas.shape == (n_modes,)
+        coords = decompose(profile, 35.0, basis36)
+        expected = project(deviation_vector(profile, 35.0), basis36)
+        assert coords.lambdas.shape == (5,)
         assert np.array_equal(coords.lambdas, expected.lambdas)
         assert coords.residue == expected.residue
 

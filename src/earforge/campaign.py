@@ -37,7 +37,7 @@ from .doe import (DesignMatrix, FactorSpace, ROLE_CENTER, ccd_design,
 from .errors import (CampaignLockedError, FreshStateError, LifecycleError,
                      MigrationNeededError, StateIntegrityError,
                      ValidationError)
-from .geometry import BlankSpec, ContourProfile, CupSpec
+from .geometry import THETA, BlankSpec, ContourProfile, CupSpec
 from .optimizer import ObjectiveSpec, Optimum, minimize
 from .plant import DC05, MaterialAnisotropy, SurrogateParams
 from .rsm import QuadraticModel, ResponseTable, fit_quadratic, term_names
@@ -555,6 +555,27 @@ def optimize_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     return _complete(state, campaign_dir, "optimized")
 
 
+def _verified_numbers(baseline: ContourProfile, optimum: ContourProfile,
+                      target_height: float) -> dict:
+    """The VerificationRecord fields that follow from the two rims' heights."""
+    basis = modal.build_modal_basis()
+    base_coords = modal.decompose(baseline, target_height, basis)
+    opt_coords = modal.decompose(optimum, target_height, basis)
+    base_amp = geometry.ear_amplitude(baseline)
+    opt_amp = geometry.ear_amplitude(optimum)
+    if base_amp <= _AMPLITUDE_EPS:
+        status, reduction = "not_applicable", None
+    elif opt_amp <= _AMPLITUDE_EPS:
+        status, reduction = "unbounded", None
+    else:
+        status, reduction = "ok", base_amp / opt_amp
+    return dict(
+        optimum_lambdas=tuple(opt_coords.lambdas.tolist()),
+        optimum_residue=opt_coords.residue, optimum_amplitude=opt_amp,
+        baseline_lambdas=tuple(base_coords.lambdas.tolist()),
+        baseline_amplitude=base_amp, reduction_factor=reduction, status=status)
+
+
 def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     """Re-simulate the optimal blank and compare with the circular baseline.
 
@@ -566,33 +587,13 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     campaign_dir = Path(campaign_dir)
     (campaign_dir / RUNS_DIR).mkdir(parents=True, exist_ok=True)
     cfg = state.config
-    basis = modal.build_modal_basis()
-
     d0 = geometry.initial_blank_diameter(cfg.cup)
     baseline_profile = plant.simulate(BlankSpec(d0), cfg.material,
                                       cfg.surrogate)
     opt_blank = BlankSpec(*state.optimum.physical)
     opt_profile = plant.simulate(opt_blank, cfg.material, cfg.surrogate)
-
-    base_coords = modal.decompose(baseline_profile, cfg.target_height, basis)
-    opt_coords = modal.decompose(opt_profile, cfg.target_height, basis)
-    base_amp = geometry.ear_amplitude(baseline_profile)
-    opt_amp = geometry.ear_amplitude(opt_profile)
-    if base_amp <= _AMPLITUDE_EPS:
-        status, reduction = "not_applicable", None
-    elif opt_amp <= _AMPLITUDE_EPS:
-        status, reduction = "unbounded", None
-    else:
-        status, reduction = "ok", base_amp / opt_amp
-
     state.verification = VerificationRecord(
-        optimum_lambdas=tuple(opt_coords.lambdas.tolist()),
-        optimum_residue=opt_coords.residue,
-        optimum_amplitude=opt_amp,
-        baseline_lambdas=tuple(base_coords.lambdas.tolist()),
-        baseline_amplitude=base_amp,
-        reduction_factor=reduction,
-        status=status,
+        **_verified_numbers(baseline_profile, opt_profile, cfg.target_height),
         baseline_file=BASELINE_RIM,
         baseline_sha256=_write_profile(campaign_dir, BASELINE_RIM, baseline_profile),
         optimum_file=OPTIMUM_RIM,
@@ -611,14 +612,13 @@ def _center_run(state: CampaignState) -> RunRecord:
     raise StateIntegrityError("campaign has no center run")
 
 
-def _deviation_from_file(campaign_dir: Path, rel: str,
-                         cfg: CampaignConfig) -> tuple[np.ndarray, np.ndarray]:
+def _rim_from_file(campaign_dir: Path, rel: str) -> ContourProfile:
     header, rows = geometry.read_rim_csv(campaign_dir / rel)
     if header != geometry.POLAR_HEADER:
         raise ValidationError(
             f"{rel}: expected header '{','.join(geometry.POLAR_HEADER)}', "
             f"got {list(header)}")
-    return rows[:, 0], rows[:, 1] - cfg.target_height
+    return ContourProfile(rows[:, 1])
 
 
 def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
@@ -626,7 +626,8 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
 
     Returns (written, skipped) where skipped pairs each missing report with
     the stage that would produce its data. Raises LifecycleError when no
-    report can be produced at all.
+    report can be produced at all, and StateIntegrityError, before writing
+    anything, when a verified number is not what the verified rims give.
     """
     if state.stage in ("configured", "designed"):
         done = STAGES.index(state.stage)
@@ -635,9 +636,17 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
             "report needs at least a simulated campaign; missing stages: "
             + ", ".join(missing))
     campaign_dir = Path(campaign_dir)
+    cfg, v = state.config, state.verification
+    if v is not None:
+        rims = [_rim_from_file(campaign_dir, rel)
+                for rel in (v.baseline_file, v.optimum_file)]
+        for key, want in _verified_numbers(*rims, cfg.target_height).items():
+            if repr(getattr(v, key)) != repr(want):  # bit for bit
+                raise StateIntegrityError(
+                    f"verification.{key} must be {want!r} as the rim files "
+                    f"give it, got {getattr(v, key)!r}")
     out_dir = campaign_dir / REPORTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfg = state.config
     written: list[str] = []
     skipped: list[tuple[str, str]] = []
 
@@ -646,22 +655,20 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
         written.append(f"{REPORTS_DIR}/{name}")
 
     center = _center_run(state)
-    theta, dev = _deviation_from_file(campaign_dir, center.profile_file, cfg)
     emit("deviation_polar.svg", report.polar_deviation_svg(
-        theta, dev, f"Rim deviation, center run (target {cfg.target_height} mm)"))
+        THETA, _rim_from_file(campaign_dir, center.profile_file).height
+        - cfg.target_height,
+        f"Rim deviation, center run (target {cfg.target_height} mm)"))
 
     series = [("center run", np.array(center.lambdas))]
-    if state.verification is not None:
-        series.append(("optimum", np.array(state.verification.optimum_lambdas)))
+    if v is not None:
+        series.append(("optimum", np.array(v.optimum_lambdas)))
     emit("modal_bars.svg", report.modal_bars_svg(series, "Modal coordinates (mm)"))
 
-    if state.verification is not None:
-        v = state.verification
-        theta_b, dev_b = _deviation_from_file(campaign_dir, v.baseline_file, cfg)
-        theta_o, dev_o = _deviation_from_file(campaign_dir, v.optimum_file, cfg)
+    if v is not None:
         emit("overlay_polar.svg", report.overlay_polar_svg(
-            theta_b, dev_b, dev_o, "nominal blank", "optimal blank",
-            "Nominal vs optimum rim deviation"))
+            THETA, *(rim.height - cfg.target_height for rim in rims),
+            "nominal blank", "optimal blank", "Nominal vs optimum rim deviation"))
         emit("summary.txt", _summary_text(state))
     else:
         skipped.append((f"{REPORTS_DIR}/overlay_polar.svg", "verified"))

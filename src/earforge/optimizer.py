@@ -1,16 +1,16 @@
 """Box-constrained minimization of the summed squared modal coordinates.
 
 The objective F(x) = sum_i L_i(x)^2 over the fitted quadratic surfaces L_i is
-a smooth quartic. Each L_i is held in tensor form c + b.x + x.Q.x, so values
-and gradients come from a few einsums. F is scored on a dense grid once; only
-the grid's basins are polished with projected gradient descent (closed-form
-gradient, Armijo backtracking): its discrete local minima plus the few best
-grid points. The search grid and its monomials x_i x_j depend only on the
-factor count, so they are built once per factor count and shared, read-only,
-by every later call. The polished starts are advanced in lockstep with
-vectorized array ops, and the reduction to a single winner is ordered, so
-results are deterministic. The model values reported at the optimum
-(`Optimum.predicted`) come from the same tensors as F and the search.
+a smooth quartic. Each L_i is held in tensor form c + b.x + x.Q.x, so values,
+gradients and Hessians come from a few einsums. F is scored on a dense grid
+once; only the grid's basins are polished, its discrete local minima plus the
+few best grid points, with projected Newton steps on the closed-form Hessian
+and Armijo backtracking along the projection arc. The search grid and its
+monomials x_i x_j depend only on the factor count, so they are built once per
+factor count and shared, read-only, by every later call. The polished starts
+advance in lockstep with vectorized array ops, and the reduction to a single
+winner is ordered, so results are deterministic. The model values reported at
+the optimum (`Optimum.predicted`) come from the same tensors as F.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ _SEED_BEST = 8  # best grid points polished besides the grid's local minima
 _ARMIJO_C1 = 1e-4
 _STEP_TOL = 1e-16
 _GRAD_TOL = 1e-11
+_EIG_FLOOR = 1e-8  # relative floor of the Hessian eigenvalues in the Newton step
 
 
 @dataclass(frozen=True)
@@ -93,12 +94,35 @@ def _f_batch(tensors, points: np.ndarray,
     return np.einsum("ij,ij->i", l, l)
 
 
-def _grad_batch(tensors, points: np.ndarray) -> np.ndarray:
-    """Gradient of F at each point: 2 * sum_i L_i * (b_i + 2 Q_i x)."""
+def _derivatives(tensors, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient 2 sum_i L_i J_i and Hessian 2 sum_i (J_i J_i^T + 2 L_i Q_i)
+    of F at each point, with J_i = b_i + 2 Q_i x."""
     c, b, q = tensors
     qx = np.einsum("ijm,nj->nim", q, points)
     l = c + np.einsum("ni,nim->nm", points, b + qx)
-    return 2.0 * np.einsum("nm,nim->ni", l, b + 2.0 * qx)
+    jac = b + 2.0 * qx
+    grad = 2.0 * np.einsum("nm,nim->ni", l, jac)
+    hess = 2.0 * (np.einsum("nim,njm->nij", jac, jac)
+                  + 2.0 * np.einsum("nm,ijm->nij", l, q))
+    return grad, hess
+
+
+def _newton_direction(x: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Two-metric projected Newton direction at each point (Bertsekas 1982).
+
+    Coordinates held at a face (on the bound, the gradient pointing outward)
+    take -g. The free ones solve with the Hessian restricted to them, its
+    eigenvalues made absolute (Nocedal & Wright, 3.4) and floored relative to
+    the largest, or to the gradient's norm so a vanishing Hessian stays finite.
+    """
+    free = ~(((x <= -1.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
+    g_free = np.where(free, g, 0.0)
+    lam, v = np.linalg.eigh(h * (free[:, :, None] & free[:, None, :]))
+    lam = np.abs(lam)
+    scale = np.maximum(lam.max(axis=1), np.sqrt(np.einsum("ij,ij->i", g_free, g_free)))
+    lam = np.maximum(lam, _EIG_FLOOR * scale[:, None])
+    step = np.einsum("nij,nj->ni", v, np.einsum("nji,nj->ni", v, g_free) / lam)
+    return np.where(free, -step, -g)
 
 
 def _to_box(points: np.ndarray) -> np.ndarray:
@@ -107,9 +131,10 @@ def _to_box(points: np.ndarray) -> np.ndarray:
 
 
 def _grid_points(n_factors: int, per_axis: int) -> np.ndarray:
+    """The per_axis**n_factors points of a uniform grid over the cube, C order."""
     axis = np.linspace(-1.0, 1.0, per_axis)
-    mesh = np.meshgrid(*[axis] * n_factors, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    index = np.indices((per_axis,) * n_factors).reshape(n_factors, per_axis ** n_factors)
+    return np.ascontiguousarray(axis[index.T])
 
 
 @functools.cache
@@ -152,14 +177,16 @@ def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarra
 
 
 def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
-    """Multi-start projected gradient descent over the cube [-1, 1].
+    """Multi-start projected Newton descent over the cube [-1, 1].
 
     Scores F on a uniform grid (21 points per factor), polishes the grid's
-    discrete local minima and its few best points with backtracking gradient
-    descent projected onto the cube (at most 500 steps each), and returns the
-    best polished point. Exactly tied objective values are broken toward the
-    lexicographically smallest coordinates. The grid and its monomials are
-    built at the first call for a factor count and reused by later ones.
+    discrete local minima and its few best points with projected Newton steps
+    on the Hessian with its eigenvalues made absolute, so saddles repel, each
+    accepted by Armijo backtracking along the projection onto the cube (at
+    most 500 steps per point), and returns the best polished point. Exactly
+    tied objective values are broken toward the lexicographically smallest
+    coordinates. The grid and its monomials are built at the first call for a
+    factor count and reused by later ones.
     """
     tensors = _tensor_form(spec.models)
     grid, squares = _search_grid(spec.n_factors)
@@ -172,16 +199,13 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     f_cur = f_grid[seeds]
     n_starts = x.shape[0]
     alive = np.ones(n_starts, dtype=bool)
-    step = np.ones(n_starts)
-    prev_x = np.full_like(x, np.nan)
-    prev_g = np.full_like(x, np.nan)
     accepted_steps = 0
     for _ in range(_MAX_ITERATIONS):
         idx = np.flatnonzero(alive)
         if idx.size == 0:
             break
         xa = x[idx]
-        g = _grad_batch(tensors, xa)
+        g, h = _derivatives(tensors, xa)
         pg = xa - _to_box(xa - g)
         done = np.sqrt(np.einsum("ij,ij->i", pg, pg)) <= _GRAD_TOL
         if done.any():
@@ -191,23 +215,13 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
                 continue
             xa = xa[~done]
             g = g[~done]
+            h = h[~done]
         fa = f_cur[idx]
-        # spectral (Barzilai-Borwein) initial step where curvature info exists,
-        # safeguarded by the Armijo backtracking below
-        s = xa - prev_x[idx]
-        y = g - prev_g[idx]
-        sy = np.einsum("ij,ij->i", s, y)
-        yy = np.einsum("ij,ij->i", y, y)
-        t = step[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            t_bb = sy / yy
-        usable = np.isfinite(t_bb) & (t_bb > 0)
-        t[usable] = np.minimum(np.maximum(t_bb[usable], 1e-10), 1e10)
-        prev_x[idx] = xa
-        prev_g[idx] = g
+        d = _newton_direction(xa, g, h)
+        t = np.ones(idx.size)
         searching = np.ones(idx.size, dtype=bool)
         while searching.any():
-            cand = _to_box(xa - t[:, None] * g)
+            cand = _to_box(xa + t[:, None] * d)
             fc = _f_batch(tensors, cand)
             if not np.all(np.isfinite(fc[searching])):
                 bad = cand[searching][int(np.flatnonzero(
@@ -220,7 +234,6 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
                 rows = idx[ok]
                 x[rows] = cand[ok]
                 f_cur[rows] = fc[ok]
-                step[rows] = t[ok] * 2.0
                 accepted_steps += int(ok.sum())
                 # a start whose objective no longer moves has converged
                 stalled = ok & (fa - fc <= 1e-15 * (1.0 + np.abs(fa)))
@@ -237,7 +250,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     order = np.lexsort(tuple(x[tie, k] for k in reversed(range(x.shape[1]))))
     winner = tie[order[0]]
     point = x[winner].copy()
-    g_win = _grad_batch(tensors, point[None, :])[0]
+    g_win = _derivatives(tensors, point[None, :])[0][0]
     pg_win = point - _to_box(point - g_win)
     report = ConvergenceReport(
         starts=n_starts,
@@ -254,12 +267,22 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
 def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float]:
     """Exhaustive argmin of F over a uniform grid; independent check for tests.
 
-    Scans in C order, so among exact ties the lexicographically smallest grid
-    point wins.
+    Scans in C order, one slab of the first factor at a time, so memory stays
+    at one slab; among exact ties the lexicographically smallest grid point
+    wins.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
-    pts = _grid_points(spec.n_factors, resolution)
-    f = _f_batch(_tensor_form(spec.models), pts)
-    i = int(np.argmin(f))
-    return pts[i].copy(), float(f[i])
+    tensors = _tensor_form(spec.models)
+    axis = np.linspace(-1.0, 1.0, resolution)
+    slab = np.empty((resolution ** (spec.n_factors - 1), spec.n_factors))
+    slab[:, 1:] = _grid_points(spec.n_factors - 1, resolution)
+    lows = []  # each slab's first minimum and its index in the slab
+    for first in axis:
+        slab[:, 0] = first
+        f = _f_batch(tensors, slab)
+        i = int(np.argmin(f))
+        lows.append((f[i], i))
+    k = int(np.argmin([value for value, _ in lows]))  # first in C order
+    slab[:, 0] = axis[k]
+    return slab[lows[k][1]].copy(), float(lows[k][0])

@@ -18,7 +18,7 @@ from earforge import campaign as cp
 from earforge.cli import cli_main
 from earforge.geometry import BlankSpec, deviation_vector, ear_amplitude
 from earforge.modal import analytic_mode, lumped_mass_diagonal, project
-from earforge.optimizer import (ObjectiveSpec, _f_batch, _grad_batch,
+from earforge.optimizer import (ObjectiveSpec, _derivatives, _f_batch,
                                 grid_oracle, minimize)
 from earforge.plant import DC05, SurrogateParams, simulate
 from earforge.rsm import (QuadraticModel, ResponseTable, _tensor_form,
@@ -29,7 +29,7 @@ def _objective(spec):
     """F and its gradient at one point, through the evaluators minimize uses."""
     tensors = _tensor_form(spec.models)
     return (lambda x: float(_f_batch(tensors, np.asarray(x)[None, :])[0]),
-            lambda x: _grad_batch(tensors, np.asarray(x)[None, :])[0])
+            lambda x: _derivatives(tensors, np.asarray(x)[None, :])[0][0])
 
 
 def _check(label: str, ok: bool, detail: str) -> str | None:

@@ -554,8 +554,9 @@ class TestMalformedState:
         assert not (d / "runs").exists()
 
     def test_config_check_solves_no_basis(self, tmp_path, monkeypatch):
-        # only the stages that decompose a rim (simulate, verify) ask for
-        # the modal basis
+        # only the stages that decompose a rim ask for the modal basis:
+        # simulate and verify, and report, which re-derives the verified
+        # numbers from the verified rims
         calls, build = [], modal.build_modal_basis
         monkeypatch.setattr(modal, "build_modal_basis",
                             lambda: calls.append(stage) or build())
@@ -564,7 +565,7 @@ class TestMalformedState:
         for stage in ("init", "design", "simulate", "fit", "optimize",
                       "verify", "report"):
             run_pipeline(tmp_path / "camp", stage)
-        assert calls == ["simulate", "verify"]
+        assert calls == ["simulate", "verify", "report"]
 
     def test_optimum_f_value_is_checked(self, tmp_path, capsys):
         d = tmp_path / "camp"
@@ -1065,6 +1066,37 @@ class TestReports:
         assert cli_main(["--campaign", str(d), "report"]) == 2
         err = capsys.readouterr().err
         assert "runs/run_09.csv: expected header 'theta_rad,value_mm'" in err
+
+    @pytest.mark.parametrize("keys, value", [
+        (("reduction_factor",), 99.0),
+        (("optimum_amplitude",), 0.001),
+        (("optimum_lambdas", 2), 0.5),
+    ], ids=["reduction", "optimum-amplitude", "optimum-lambda-3"])
+    def test_verified_number_off_its_rims_exits_2(self, tmp_path, capsys,
+                                                  keys, value):
+        # the rim files are hash-checked, so the verified numbers are
+        # re-derived from them and must match bit for bit
+        err = _refused_after_edit(tmp_path / "camp", capsys, "report",
+                                  _put("verification", *keys, value=value))
+        assert f"verification.{keys[0]} must be " in err
+        assert "as the rim files give it, got " in err
+
+    def test_untouched_campaign_reports_byte_identically(self, tmp_path):
+        # the state a library run holds in memory and the state the CLI
+        # loads from campaign.json pass the check and write the same reports
+        d = tmp_path / "camp"
+        d.mkdir()
+        with cp.campaign_lock(d):
+            state = cp.init_campaign(d)
+            for stage in (cp.design_campaign, cp.simulate_campaign,
+                          cp.fit_campaign, cp.optimize_campaign,
+                          cp.verify_campaign):
+                state = stage(state, d)
+            written, skipped = cp.report_campaign(state, d)
+        assert len(written) == 4 and not skipped
+        first = {name: (d / name).read_bytes() for name in written}
+        assert cli_main(["--campaign", str(d), "report"]) == 0
+        assert {name: (d / name).read_bytes() for name in written} == first
 
     def test_report_is_deterministic(self, full_campaign):
         run = lambda: cli_main(["--campaign", str(full_campaign), "report"])

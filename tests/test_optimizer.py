@@ -7,7 +7,7 @@ import pytest
 
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
-                                _f_batch, _grad_batch, _search_grid,
+                                _derivatives, _f_batch, _search_grid,
                                 grid_oracle, minimize)
 from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
 
@@ -20,7 +20,8 @@ def objective_f(spec, point):
 
 def objective_gradient(spec, point):
     """Gradient of F at one point, through the batch evaluator minimize uses."""
-    return _grad_batch(_tensor_form(spec.models), np.asarray(point)[None, :])[0]
+    return _derivatives(_tensor_form(spec.models),
+                        np.asarray(point)[None, :])[0][0]
 
 
 def model_from_terms(**terms):
@@ -39,6 +40,15 @@ def random_models(rng, n_models=5):
 
 
 ZERO_SPEC = ObjectiveSpec(models=(model_from_terms(),))
+
+
+def seeded_spec(rng, n_factors, n_models=5):
+    """n_models quadratics over n_factors factors with N(0, 1) coefficients."""
+    names = tuple(f"X{k + 1}" for k in range(n_factors))
+    n_terms = len(term_names(names))
+    return ObjectiveSpec(models=tuple(
+        QuadraticModel("Y", names, rng.normal(0, 1, n_terms), 0.0, 0.0)
+        for _ in range(n_models)))
 
 
 def reference_f(coef, points):
@@ -150,6 +160,16 @@ def basin_seeds_reference(f_grid, per_axis, n_factors):
     keep = keep.ravel()
     keep[np.argsort(f_grid, kind="stable")[:_SEED_BEST]] = True
     return np.flatnonzero(keep)
+
+
+def dense_grid_argmin(spec, resolution):
+    """The first grid argmin of F in C order, from one scan of the whole grid."""
+    axis = np.linspace(-1.0, 1.0, resolution)
+    mesh = np.meshgrid(*[axis] * spec.n_factors, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    f = _f_batch(_tensor_form(spec.models), points)
+    i = int(np.argmin(f))
+    return points[i], float(f[i])
 
 
 class TestBasinSeeds:
@@ -286,6 +306,53 @@ class TestMinimize:
         assert opt.report.iterations > 0
         assert opt.report.gradient_norm <= 1e-6
 
+    def test_returned_points_meet_box_kkt_conditions(self):
+        # Whatever the polish, the returned point is a box-constrained local
+        # minimum: its projected gradient vanishes and the Hessian on the
+        # coordinates strictly inside the box has no negative eigenvalue.
+        # The first-order bound is what F's rounding can resolve: once the
+        # projected gradient is below ~1e-7 a full Newton step changes F by a
+        # few ulps at most, so no test on F values can tell further progress.
+        rng = np.random.default_rng(51)
+        specs = [seeded_spec(rng, 3) for _ in range(100)]
+        specs += [seeded_spec(rng, n) for n in (1, 2) for _ in range(20)]
+        for spec in specs:
+            opt = minimize(spec)
+            g, h = _derivatives(_tensor_form(spec.models), opt.point[None, :])
+            pg = opt.point - np.clip(opt.point - g[0], -1.0, 1.0)
+            assert np.linalg.norm(pg) <= 1e-6
+            assert opt.report.gradient_norm == pytest.approx(np.linalg.norm(pg))
+            inner = np.abs(opt.point) < 1.0
+            if inner.any():
+                assert np.linalg.eigvalsh(h[0][np.ix_(inner, inner)]).min() >= -1e-8
+
+    def test_grid_seed_beside_a_strict_saddle_reaches_the_oracle_basin(self):
+        # F = (10 X1^2 - 0.9 X1 - 0.09)^2 + 1e-4 (1 + X2)^2 vanishes at
+        # X1 = -0.06 and X1 = 0.15 on the face X2 = -1, and has a strict saddle
+        # between them at (0.045, -1), where d2F/dX1^2 = -4.41. Every grid
+        # seed lies in the column X1 = 0.1, inside the strip
+        # |X1 - 0.045| < 0.105 / sqrt(3) where F is concave along X1; a Newton
+        # step on the unmodified Hessian points back at the saddle from there.
+        spec = ObjectiveSpec(models=(
+            QuadraticModel("Y", ("X1", "X2"),
+                           np.array([-0.09, -0.9, 0.0, 0.0, 10.0, 0.0]), 0.0, 0.0),
+            QuadraticModel("Y", ("X1", "X2"),
+                           np.array([0.01, 0.0, 0.01, 0.0, 0.0, 0.0]), 0.0, 0.0)))
+        tensors = _tensor_form(spec.models)
+        grid, squares = _search_grid(2)
+        seeds = grid[_basin_seeds(_f_batch(tensors, grid, squares), 21, 2)]
+        assert np.allclose(seeds[:, 0], 0.1)
+        _, h = _derivatives(tensors, seeds)
+        assert np.all(h[:, 0, 0] < 0.0)
+        saddle = np.array([[0.045, -1.0]])
+        g, h = _derivatives(tensors, saddle)
+        assert np.abs(g).max() <= 1e-15 and h[0, 0, 0] == pytest.approx(-4.41)
+        opt = minimize(spec)
+        oracle_point, oracle_f = grid_oracle(spec, 41)
+        assert np.allclose(oracle_point, [0.15, -1.0], atol=1e-12)
+        assert opt.f_value <= oracle_f + 1e-12
+        assert np.allclose(opt.point, [0.15, -1.0], atol=1e-9)
+
     def test_nonfinite_objective_raises(self):
         spec = ObjectiveSpec(models=(model_from_terms(X1=1e200),))
         with pytest.raises(NumericError):
@@ -309,8 +376,10 @@ class TestGridOracle:
             grid_oracle(ZERO_SPEC, 2)
 
     def test_peak_allocation_of_dense_scan(self):
-        # A model-matrix scan peaks at 10.5 MiB here and the tensor-form F at
-        # 8.9 MiB; an F that builds the (n, f, m) gradient tensor peaks at 20.
+        # The scan holds one first-factor slab (41**2 points) at a time and
+        # peaks at 0.3 MiB here; the whole 41**3 grid at once peaked at 8.9
+        # MiB through the tensor-form F and at 10.5 MiB through a model
+        # matrix.
         spec = ObjectiveSpec(models=random_models(np.random.default_rng(45)))
         grid_oracle(spec, 3)
         tracemalloc.start()
@@ -319,7 +388,28 @@ class TestGridOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * 2 ** 20
+        assert peak <= 1 * 2 ** 20
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_slab_scan_matches_dense_scan(self, n_factors):
+        rng = np.random.default_rng(52 + n_factors)
+        for _ in range(16):
+            spec = seeded_spec(rng, n_factors)
+            for resolution in (3, 20, 41):
+                point, value = grid_oracle(spec, resolution)
+                want_point, want_value = dense_grid_argmin(spec, resolution)
+                assert np.array_equal(point, want_point)
+                assert value == want_value
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_ties_return_the_first_grid_point(self, n_factors):
+        names = tuple(f"X{k + 1}" for k in range(n_factors))
+        zero = ObjectiveSpec(models=(QuadraticModel(
+            "Y", names, np.zeros(len(term_names(names))), 0.0, 0.0),))
+        point, value = grid_oracle(zero, 7)
+        assert np.array_equal(point, [-1.0] * n_factors)
+        assert value == 0.0
+        assert np.array_equal(point, dense_grid_argmin(zero, 7)[0])
 
 
 class TestObjectiveSpec:

@@ -58,6 +58,11 @@ STAGES = ("configured", "designed", "simulated", "fitted", "optimized",
           "verified")
 
 _AMPLITUDE_EPS = 1e-12
+# The modal projection goes through BLAS, whose kernels differ between
+# machines in the last bits (~1e-15 mm), so `report` holds a verified lambda
+# or residue to this absolute tolerance (mm) and every other number bit for bit.
+_PROJECTION_TOL = 1e-12
+_PROJECTED = ("optimum_lambdas", "optimum_residue", "baseline_lambdas")
 
 
 @dataclass
@@ -627,7 +632,8 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     Returns (written, skipped) where skipped pairs each missing report with
     the stage that would produce its data. Raises LifecycleError when no
     report can be produced at all, and StateIntegrityError, before writing
-    anything, when a verified number is not what the verified rims give.
+    anything, when a verified number is not what the verified rims give
+    (lambdas and residue within _PROJECTION_TOL mm, the rest bit for bit).
     """
     if state.stage in ("configured", "designed"):
         done = STAGES.index(state.stage)
@@ -641,10 +647,16 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
         rims = [_rim_from_file(campaign_dir, rel)
                 for rel in (v.baseline_file, v.optimum_file)]
         for key, want in _verified_numbers(*rims, cfg.target_height).items():
-            if repr(getattr(v, key)) != repr(want):  # bit for bit
+            got = getattr(v, key)
+            if key not in _PROJECTED:
+                if repr(got) != repr(want):  # bit for bit
+                    raise StateIntegrityError(
+                        f"verification.{key} must be {want!r} as the rim "
+                        f"files give it, got {got!r}")
+            elif not np.all(np.abs(np.subtract(got, want)) <= _PROJECTION_TOL):
                 raise StateIntegrityError(
-                    f"verification.{key} must be {want!r} as the rim files "
-                    f"give it, got {getattr(v, key)!r}")
+                    f"verification.{key} must be within {_PROJECTION_TOL} mm "
+                    f"of {want!r} as the rim files give it, got {got!r}")
     out_dir = campaign_dir / REPORTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []

@@ -1,16 +1,18 @@
 """Box-constrained minimization of the summed squared modal coordinates.
 
 The objective F(x) = sum_i L_i(x)^2 over the fitted quadratic surfaces L_i is
-a smooth quartic. Each L_i is held in tensor form c + b.x + x.Q.x, so values,
-gradients and Hessians come from a few einsums. F is scored on a dense grid
-once; only the grid's basins are polished, its discrete local minima plus the
-few best grid points, with projected Newton steps on the closed-form Hessian
-and Armijo backtracking along the projection arc. The search grid and its
-monomials x_i x_j depend only on the factor count, so they are built once per
-factor count and shared, read-only, by every later call. The polished starts
-advance in lockstep with vectorized array ops, and the reduction to a single
-winner is ordered, so results are deterministic. The model values reported at
-the optimum (`Optimum.predicted`) come from the same tensors as F.
+a smooth quartic. F is scored on a dense grid once, through the fit's own
+quadratic model matrix: the grid's rows times the stacked coefficients give
+every L_i in one matmul. The grid and its model matrix depend only on the
+factor count, so they are built once per factor count and shared, read-only,
+by every later call. Only the grid's basins are polished, its discrete local
+minima plus the few best grid points. There each L_i is held in tensor form
+c + b.x + x.Q.x, so values, gradients and Hessians come from a few einsums,
+and the starts take projected Newton steps on the closed-form Hessian with
+Armijo backtracking along the projection arc. The polished starts advance in
+lockstep with vectorized array ops, and the reduction to a single winner is
+ordered, so results are deterministic. The model values reported at the
+optimum (`Optimum.predicted`) come from the same tensors as F.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
-from .rsm import QuadraticModel, _tensor_form
+from .rsm import QuadraticModel, _tensor_form, model_matrix
 
 _GRID_PER_AXIS = 21
 _MAX_ITERATIONS = 500
@@ -30,6 +32,7 @@ _SEED_BEST = 8  # best grid points polished besides the grid's local minima
 _ARMIJO_C1 = 1e-4
 _STEP_TOL = 1e-16
 _GRAD_TOL = 1e-11
+_FLAT_TOL = 1e-13  # relative change of F below which a full step's F is rounding
 _EIG_FLOOR = 1e-8  # relative floor of the Hessian eigenvalues in the Newton step
 
 
@@ -69,28 +72,20 @@ class Optimum:
     physical: np.ndarray | None = None  # physical coordinates when a space is given
 
 
-def _monomials(points: np.ndarray) -> np.ndarray:
-    """The (n, f*f) products x_i x_j of each point, C-contiguous."""
-    n, f = points.shape
-    return (points[:, :, None] * points[:, None, :]).reshape(n, f * f)
-
-
-def _f_batch(tensors, points: np.ndarray,
-             squares: np.ndarray | None = None) -> np.ndarray:
-    """F at each point, without building the per-point gradient tensor.
-
-    `squares` may hold `_monomials(points)`, computed beforehand.
-    """
+def _f_batch(tensors, points: np.ndarray) -> np.ndarray:
+    """F at each point, without building the per-point gradient tensor."""
     c, b, q = tensors
-    f = points.shape[1]
-    # outer products built here are freed before the linear term is added,
-    # which keeps the peak of a dense scan below that of a model matrix
-    if squares is None:
-        squares = _monomials(points)
+    n, f = points.shape
+    squares = (points[:, :, None] * points[:, None, :]).reshape(n, f * f)
     l = squares @ q.reshape(f * f, -1)
-    del squares
     l += points @ b
     l += c
+    return np.einsum("ij,ij->i", l, l)
+
+
+def _f_design(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """F at the points whose quadratic model matrix is `design`: one matmul."""
+    l = design @ coef
     return np.einsum("ij,ij->i", l, l)
 
 
@@ -115,14 +110,24 @@ def _newton_direction(x: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray
     eigenvalues made absolute (Nocedal & Wright, 3.4) and floored relative to
     the largest, or to the gradient's norm so a vanishing Hessian stays finite.
     """
-    free = ~(((x <= -1.0) & (g > 0.0)) | ((x >= 1.0) & (g < 0.0)))
-    g_free = np.where(free, g, 0.0)
-    lam, v = np.linalg.eigh(h * (free[:, :, None] & free[:, None, :]))
+    held = (x * g < 0.0) & (np.abs(x) == 1.0)  # x is on the box: |x| <= 1
+    any_held = held.any()
+    g_free, h_free = g, h
+    if any_held:
+        g_free = np.where(held, 0.0, g)
+        h_free = h * ~(held[:, :, None] | held[:, None, :])
+    lam, v = np.linalg.eigh(h_free)
     lam = np.abs(lam)
     scale = np.maximum(lam.max(axis=1), np.sqrt(np.einsum("ij,ij->i", g_free, g_free)))
     lam = np.maximum(lam, _EIG_FLOOR * scale[:, None])
     step = np.einsum("nij,nj->ni", v, np.einsum("nji,nj->ni", v, g_free) / lam)
-    return np.where(free, -step, -g)
+    return np.where(held, -g, -step) if any_held else -step
+
+
+def _projected_gradient_norm(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Norm of each point's step x - P(x - g) onto the cube."""
+    pg = x - _to_box(x - g)
+    return np.sqrt(np.einsum("ij,ij->i", pg, pg))
 
 
 def _to_box(points: np.ndarray) -> np.ndarray:
@@ -139,12 +144,12 @@ def _grid_points(n_factors: int, per_axis: int) -> np.ndarray:
 
 @functools.cache
 def _search_grid(n_factors: int) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only search grid of `minimize` and its monomials."""
+    """The read-only search grid of `minimize` and its quadratic model matrix."""
     grid = _grid_points(n_factors, _GRID_PER_AXIS)
-    squares = _monomials(grid)
+    design = model_matrix(grid)
     grid.flags.writeable = False
-    squares.flags.writeable = False
-    return grid, squares
+    design.flags.writeable = False
+    return grid, design
 
 
 def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarray:
@@ -156,18 +161,22 @@ def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarra
     index order, as a stable sort would. The partition needs at least
     _SEED_BEST grid points; minimize's 21 per axis always give more.
     """
-    cube = f_grid.reshape((per_axis,) * n_factors)
     # minimum over each point's 3**n_factors neighbourhood, one axis at a time
-    # (a separable running minimum: outside the box there is no neighbour,
-    # which is a +inf pad; the point itself never changes the test)
-    low = cube
+    # (a separable running minimum on a copy padded with +inf, flat, so the
+    # neighbours along axis k are the entries (per_axis + 2)**k away; a pad
+    # entry only ever meets pad entries of its own axis before that axis's
+    # pass, and the point itself never changes the test)
+    side = per_axis + 2
+    inner = (slice(1, -1),) * n_factors
+    padded = np.full((side,) * n_factors, np.inf)
+    padded[inner] = f_grid.reshape((per_axis,) * n_factors)
+    low = padded.ravel()
     for axis in range(n_factors):
-        prev = np.moveaxis(low, axis, 0)
-        cur = prev.copy()
-        np.minimum(cur[1:], prev[:-1], out=cur[1:])
-        np.minimum(cur[:-1], prev[1:], out=cur[:-1])
-        low = np.moveaxis(cur, 0, axis)
-    keep = (cube <= low).ravel()
+        s = side ** axis
+        prev = low.copy()
+        np.minimum(low[s:], prev[:-s], out=low[s:])
+        np.minimum(low[:-s], prev[s:], out=low[:-s])
+    keep = f_grid <= padded[inner].ravel()
     kth = np.partition(f_grid, _SEED_BEST - 1)[_SEED_BEST - 1]
     below = f_grid < kth
     keep |= below
@@ -183,14 +192,18 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     discrete local minima and its few best points with projected Newton steps
     on the Hessian with its eigenvalues made absolute, so saddles repel, each
     accepted by Armijo backtracking along the projection onto the cube (at
-    most 500 steps per point), and returns the best polished point. Exactly
-    tied objective values are broken toward the lexicographically smallest
-    coordinates. The grid and its monomials are built at the first call for a
-    factor count and reused by later ones.
+    most 500 steps per point), and returns the best polished point. Where a
+    full step changes F by rounding alone (at most 1e-13 relative), it is
+    accepted when it at least halves the projected gradient, so the polish
+    reaches its 1e-11 gradient tolerance. Exactly tied objective values are
+    broken toward the lexicographically smallest coordinates. The grid and its
+    model matrix are built at the first call for a factor count and reused by
+    later ones; the grid is scored with one matmul.
     """
+    coef = np.column_stack([m.coefficients for m in spec.models])
     tensors = _tensor_form(spec.models)
-    grid, squares = _search_grid(spec.n_factors)
-    f_grid = _f_batch(tensors, grid, squares)
+    grid, design = _search_grid(spec.n_factors)
+    f_grid = _f_design(design, coef)
     if not np.all(np.isfinite(f_grid)):
         bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
@@ -198,53 +211,60 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     x = grid[seeds]
     f_cur = f_grid[seeds]
     n_starts = x.shape[0]
-    alive = np.ones(n_starts, dtype=bool)
+    live = np.arange(n_starts)  # the starts still being polished
     accepted_steps = 0
     for _ in range(_MAX_ITERATIONS):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        xa = x[idx]
+        xa = x[live]
         g, h = _derivatives(tensors, xa)
-        pg = xa - _to_box(xa - g)
-        done = np.sqrt(np.einsum("ij,ij->i", pg, pg)) <= _GRAD_TOL
-        if done.any():
-            alive[idx[done]] = False
-            idx = idx[~done]
-            if idx.size == 0:
-                continue
-            xa = xa[~done]
-            g = g[~done]
-            h = h[~done]
-        fa = f_cur[idx]
+        pg_norm = _projected_gradient_norm(xa, g)
+        moving = ~(pg_norm <= _GRAD_TOL)
+        if not moving.all():
+            live, xa, g, h = live[moving], xa[moving], g[moving], h[moving]
+            pg_norm = pg_norm[moving]
+            if live.size == 0:
+                break
+        fa = f_cur[live]
+        scale = 1.0 + np.abs(fa)
         d = _newton_direction(xa, g, h)
-        t = np.ones(idx.size)
-        searching = np.ones(idx.size, dtype=bool)
-        while searching.any():
+        # every start halves its own step from t = 1 until Armijo accepts it
+        # or t falls below _STEP_TOL; the batch keeps its shape meanwhile
+        t = np.ones(live.size)
+        searching = np.ones(live.size, dtype=bool)
+        full_step = True
+        while True:
             cand = _to_box(xa + t[:, None] * d)
             fc = _f_batch(tensors, cand)
-            if not np.all(np.isfinite(fc[searching])):
-                bad = cand[searching][int(np.flatnonzero(
-                    ~np.isfinite(fc[searching]))[0])]
-                raise NumericError(
-                    f"objective is not finite at {bad.tolist()} during polish")
-            decrease = np.einsum("ij,ij->i", g, xa - cand)
-            ok = searching & (fc <= fa - _ARMIJO_C1 * decrease)
-            if ok.any():
-                rows = idx[ok]
-                x[rows] = cand[ok]
-                f_cur[rows] = fc[ok]
-                accepted_steps += int(ok.sum())
-                # a start whose objective no longer moves has converged
-                stalled = ok & (fa - fc <= 1e-15 * (1.0 + np.abs(fa)))
-                if stalled.any():
-                    alive[idx[stalled]] = False
-                searching &= ~ok
-            t[searching] *= 0.5
-            exhausted = searching & (t < _STEP_TOL)
-            if exhausted.any():
-                alive[idx[exhausted]] = False
-                searching &= ~exhausted
+            if not np.isfinite(fc).all():
+                bad = searching & ~np.isfinite(fc)
+                if bad.any():
+                    raise NumericError(f"objective is not finite at "
+                                       f"{cand[np.argmax(bad)].tolist()} during polish")
+            searching &= ~(fc <= fa - _ARMIJO_C1 * np.einsum("ij,ij->i", g, xa - cand))
+            if not searching.any():
+                break
+            if full_step:
+                # where F moves by rounding alone, a full step is judged by
+                # the projected gradient instead (Hager & Zhang 2005)
+                full_step = False
+                flat = searching & (np.abs(fc - fa) <= _FLAT_TOL * scale)
+                if flat.any():
+                    xf = cand[flat]
+                    gf = _derivatives(tensors, xf)[0]
+                    searching[flat] = ~(_projected_gradient_norm(xf, gf)
+                                        <= 0.5 * pg_norm[flat])
+            np.multiply(t, 0.5, out=t, where=searching)
+            searching &= t >= _STEP_TOL
+            if not searching.any():
+                break
+        ok = t >= _STEP_TOL  # accepted; the other starts ran out of step
+        accepted_steps += int(np.count_nonzero(ok))
+        rows = live[ok]
+        x[rows] = cand[ok]
+        f_cur[rows] = fc[ok]
+        # a start whose objective no longer moves has converged
+        live = live[ok & (fa - fc > 1e-15 * scale)]
+        if live.size == 0:
+            break
     f_min = float(np.min(f_cur))
     tie = np.flatnonzero(f_cur <= f_min + 1e-12 * (1.0 + abs(f_min)))
     order = np.lexsort(tuple(x[tie, k] for k in reversed(range(x.shape[1]))))
@@ -268,21 +288,35 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
     """Exhaustive argmin of F over a uniform grid; independent check for tests.
 
     Scans in C order, one slab of the first factor at a time, so memory stays
-    at one slab; among exact ties the lexicographically smallest grid point
-    wins.
+    at one slab. The slab's model matrix is built once; each slab rewrites
+    only the columns that hold the first factor, so every row is the one a
+    model matrix of the whole grid holds. Among exact ties the
+    lexicographically smallest grid point wins.
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
-    tensors = _tensor_form(spec.models)
+    f = spec.n_factors
+    coef = np.column_stack([m.coefficients for m in spec.models])
     axis = np.linspace(-1.0, 1.0, resolution)
-    slab = np.empty((resolution ** (spec.n_factors - 1), spec.n_factors))
-    slab[:, 1:] = _grid_points(spec.n_factors - 1, resolution)
+    if f == 1:  # a slab of one point would take BLAS's matrix-vector path
+        values = _f_design(model_matrix(axis[:, None]), coef)
+        i = int(np.argmin(values))
+        return axis[i:i + 1].copy(), float(values[i])
+    slab = np.empty((resolution ** (f - 1), f))
+    slab[:, 0] = axis[0]
+    slab[:, 1:] = _grid_points(f - 1, resolution)
+    # column-major, so the columns rewritten per slab are contiguous
+    design = np.asfortranarray(model_matrix(slab))
+    rest = np.asfortranarray(slab[:, 1:])
+    square = 1 + f + f * (f - 1) // 2  # column of the first factor's square
     lows = []  # each slab's first minimum and its index in the slab
     for first in axis:
-        slab[:, 0] = first
-        f = _f_batch(tensors, slab)
-        i = int(np.argmin(f))
-        lows.append((f[i], i))
+        design[:, 1] = first
+        np.multiply(rest, first, out=design[:, 1 + f:f + f])  # x0 x_j
+        design[:, square] = first * first
+        values = _f_design(design, coef)
+        i = int(np.argmin(values))
+        lows.append((values[i], i))
     k = int(np.argmin([value for value, _ in lows]))  # first in C order
     slab[:, 0] = axis[k]
     return slab[lows[k][1]].copy(), float(lows[k][0])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,14 @@ def model_matrix(points) -> np.ndarray:
     return np.column_stack(cols)
 
 
+@functools.cache
+def _pair_index(f: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column of each interaction term x_i x_j, i < j, in term order."""
+    i, j = np.triu_indices(f, k=1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def _tensor_form(models):
     """The models as L(x) = c + x @ b + x @ Q @ x, one column per model.
 
@@ -43,7 +52,7 @@ def _tensor_form(models):
     coef = np.column_stack([m.coefficients for m in models])
     f = len(models[0].factor_names)
     q = np.zeros((f, f, coef.shape[1]))
-    i, j = np.triu_indices(f, k=1)
+    i, j = _pair_index(f)
     q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
     q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
     return coef[0], coef[1:1 + f], q

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -1097,6 +1098,37 @@ class TestReports:
         first = {name: (d / name).read_bytes() for name in written}
         assert cli_main(["--campaign", str(d), "report"]) == 0
         assert {name: (d / name).read_bytes() for name in written} == first
+
+    @pytest.mark.parametrize("key", ["optimum_lambdas", "baseline_lambdas",
+                                     "optimum_residue"])
+    def test_projected_number_off_by_ten_tolerances_exits_2(self, tmp_path,
+                                                            capsys, key):
+        def nudge(doc):
+            v = doc["verification"]
+            if key == "optimum_residue":
+                v[key] += 1e-11
+            else:
+                v[key][3] += 1e-11
+            return doc
+
+        err = _refused_after_edit(tmp_path / "camp", capsys, "report", nudge)
+        assert f"verification.{key} must be within 1e-12 mm of " in err
+
+    def test_reports_where_blas_kernels_differ(self, tmp_path):
+        # Verified here, then reported in a process whose numpy and OpenBLAS
+        # dispatch to AVX2 kernels only, as on another machine. On a machine
+        # with AVX-512 the re-derived lambdas then differ from the stored ones
+        # in their last bits, far inside the 1e-12 mm tolerance.
+        d = tmp_path / "camp"
+        run_pipeline(d, "init", "design", "simulate", "fit", "optimize", "verify")
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
+                   OPENBLAS_CORETYPE="Haswell")
+        proc = subprocess.run(
+            [sys.executable, "-m", "earforge.cli", "--campaign", str(d), "report"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert (d / "reports" / "summary.txt").exists()
 
     def test_report_is_deterministic(self, full_campaign):
         run = lambda: cli_main(["--campaign", str(full_campaign), "report"])

@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from earforge import optimizer
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
-                                _derivatives, _f_batch, _search_grid,
-                                grid_oracle, minimize)
+                                _derivatives, _f_batch, _f_design,
+                                _search_grid, grid_oracle, minimize)
 from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
 
 
@@ -167,7 +168,7 @@ def dense_grid_argmin(spec, resolution):
     axis = np.linspace(-1.0, 1.0, resolution)
     mesh = np.meshgrid(*[axis] * spec.n_factors, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
-    f = _f_batch(_tensor_form(spec.models), points)
+    f = reference_f(np.column_stack([m.coefficients for m in spec.models]), points)
     i = int(np.argmin(f))
     return points[i], float(f[i])
 
@@ -212,21 +213,45 @@ class TestBasinSeeds:
 
 class TestSearchGrid:
     def test_arrays_are_read_only_and_survive_minimize(self, reference_models):
-        grid, squares = _search_grid(3)
-        before = grid.copy(), squares.copy()
+        grid, design = _search_grid(3)
+        before = grid.copy(), design.copy()
         assert not grid.flags.writeable
-        assert not squares.flags.writeable
+        assert not design.flags.writeable
         minimize(ObjectiveSpec(models=reference_models))
         minimize(ObjectiveSpec(models=random_models(np.random.default_rng(48))))
         assert _search_grid(3)[0] is grid
+        assert _search_grid(3)[1] is design
         assert np.array_equal(grid, before[0])
-        assert np.array_equal(squares, before[1])
+        assert np.array_equal(design, before[1])
 
-    def test_precomputed_monomials_give_the_same_bits(self):
-        grid, squares = _search_grid(3)
-        tensors = _tensor_form(random_models(np.random.default_rng(49)))
-        assert np.array_equal(_f_batch(tensors, grid, squares),
-                              _f_batch(tensors, grid))
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_cached_design_is_the_model_matrix(self, n_factors):
+        grid, design = _search_grid(n_factors)
+        assert grid.shape == (21 ** n_factors, n_factors)
+        assert np.array_equal(design, model_matrix(grid))
+        assert design.dtype == np.float64 and design.flags.c_contiguous
+        assert not design.flags.writeable
+        with pytest.raises(ValueError):
+            design[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_grid_scores_equal_the_model_matrix_reference(self, n_factors,
+                                                           monkeypatch):
+        # the F that minimize hands to its basin search, bit for bit
+        scored = []
+
+        def record(f_grid, per_axis, n):
+            scored.append(f_grid.copy())
+            return _basin_seeds(f_grid, per_axis, n)
+
+        monkeypatch.setattr(optimizer, "_basin_seeds", record)
+        rng = np.random.default_rng(49)
+        grid = _search_grid(n_factors)[0]
+        for _ in range(8):
+            spec = seeded_spec(rng, n_factors)
+            minimize(spec)
+            coef = np.column_stack([m.coefficients for m in spec.models])
+            assert np.array_equal(scored.pop(), reference_f(coef, grid))
 
     def test_grid_oracle_leaves_the_cache_alone(self):
         spec = ObjectiveSpec(models=random_models(np.random.default_rng(50)))
@@ -304,15 +329,16 @@ class TestMinimize:
         # one grid local minimum, inside the 8 best grid points
         assert opt.report.starts == 8
         assert opt.report.iterations > 0
-        assert opt.report.gradient_norm <= 1e-6
+        assert opt.report.gradient_norm <= 1e-11
 
     def test_returned_points_meet_box_kkt_conditions(self):
         # Whatever the polish, the returned point is a box-constrained local
         # minimum: its projected gradient vanishes and the Hessian on the
         # coordinates strictly inside the box has no negative eigenvalue.
-        # The first-order bound is what F's rounding can resolve: once the
-        # projected gradient is below ~1e-7 a full Newton step changes F by a
-        # few ulps at most, so no test on F values can tell further progress.
+        # The first-order bound is minimize's own tolerance, 1e-11. Below a
+        # projected gradient of ~1e-7 a full Newton step changes F by a few
+        # ulps at most, so only a step judged by the projected gradient, not
+        # by F, gets there.
         rng = np.random.default_rng(51)
         specs = [seeded_spec(rng, 3) for _ in range(100)]
         specs += [seeded_spec(rng, n) for n in (1, 2) for _ in range(20)]
@@ -320,7 +346,7 @@ class TestMinimize:
             opt = minimize(spec)
             g, h = _derivatives(_tensor_form(spec.models), opt.point[None, :])
             pg = opt.point - np.clip(opt.point - g[0], -1.0, 1.0)
-            assert np.linalg.norm(pg) <= 1e-6
+            assert np.linalg.norm(pg) <= 1e-11
             assert opt.report.gradient_norm == pytest.approx(np.linalg.norm(pg))
             inner = np.abs(opt.point) < 1.0
             if inner.any():
@@ -339,8 +365,9 @@ class TestMinimize:
             QuadraticModel("Y", ("X1", "X2"),
                            np.array([0.01, 0.0, 0.01, 0.0, 0.0, 0.0]), 0.0, 0.0)))
         tensors = _tensor_form(spec.models)
-        grid, squares = _search_grid(2)
-        seeds = grid[_basin_seeds(_f_batch(tensors, grid, squares), 21, 2)]
+        grid, design = _search_grid(2)
+        coef = np.column_stack([m.coefficients for m in spec.models])
+        seeds = grid[_basin_seeds(_f_design(design, coef), 21, 2)]
         assert np.allclose(seeds[:, 0], 0.1)
         _, h = _derivatives(tensors, seeds)
         assert np.all(h[:, 0, 0] < 0.0)
@@ -376,10 +403,9 @@ class TestGridOracle:
             grid_oracle(ZERO_SPEC, 2)
 
     def test_peak_allocation_of_dense_scan(self):
-        # The scan holds one first-factor slab (41**2 points) at a time and
-        # peaks at 0.3 MiB here; the whole 41**3 grid at once peaked at 8.9
-        # MiB through the tensor-form F and at 10.5 MiB through a model
-        # matrix.
+        # The scan holds one first-factor slab (41**2 points) and its model
+        # matrix at a time and peaks at 0.3 MiB here; a model matrix of the
+        # whole 41**3 grid at once peaked at 10.5 MiB.
         spec = ObjectiveSpec(models=random_models(np.random.default_rng(45)))
         grid_oracle(spec, 3)
         tracemalloc.start()

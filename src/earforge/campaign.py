@@ -199,9 +199,14 @@ def campaign_lock(campaign_dir):
     try:
         fd = os.open(lock_path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
     except FileExistsError:
+        try:
+            pid = lock_path.read_bytes().strip()
+        except OSError:  # gone meanwhile, or not a file
+            pid = b""
+        holder = f", held by PID {pid.decode()}" if pid.isdigit() else ""
         raise CampaignLockedError(
-            f"{lock_path} exists; another process is writing this campaign "
-            f"(remove the file if that process is gone)") from None
+            f"{lock_path} exists{holder}; another process is writing this "
+            f"campaign (remove the file if that process is gone)") from None
     except FileNotFoundError:
         raise _no_state(campaign_dir) from None
     try:

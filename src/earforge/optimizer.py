@@ -1,18 +1,17 @@
 """Box-constrained minimization of the summed squared modal coordinates.
 
 The objective F(x) = sum_i L_i(x)^2 over the fitted quadratic surfaces L_i is
-a smooth quartic. F is scored on a dense grid once, through the fit's own
-quadratic model matrix: the grid's rows times the stacked coefficients give
-every L_i in one matmul. The grid and its model matrix depend only on the
-factor count, so they are built once per factor count and shared, read-only,
-by every later call. Only the grid's basins are polished, its discrete local
-minima plus the few best grid points. There each L_i is held in tensor form
-c + b.x + x.Q.x, so values, gradients and Hessians come from a few einsums,
-and the starts take projected Newton steps on the closed-form Hessian with
-Armijo backtracking along the projection arc. The polished starts advance in
-lockstep with vectorized array ops, and the reduction to a single winner is
-ordered, so results are deterministic. The model values reported at the
-optimum (`Optimum.predicted`) come from the same tensors as F.
+a smooth quartic. Every L_i value comes from the fit's own quadratic model
+matrix times the stacked coefficients, and F is the row sum of their squares.
+F is scored on a dense grid whose model matrix depends only on the factor
+count, so it is built once per factor count and shared, read-only. Only the
+grid's basins are polished, its discrete local minima plus the few best grid
+points. Each start keeps its L row beside its F, and its gradient and Hessian
+take that row and the slopes b_i + 2 Q_i x. The starts take projected Newton
+steps on the closed-form Hessian with Armijo backtracking along the projection
+arc, in lockstep with vectorized array ops, and the reduction to a single
+winner is ordered, so results are deterministic. `Optimum.predicted` is the
+winner's L row, so `f_value` is the sum of its squares.
 """
 
 from __future__ import annotations
@@ -72,30 +71,17 @@ class Optimum:
     physical: np.ndarray | None = None  # physical coordinates when a space is given
 
 
-def _f_batch(tensors, points: np.ndarray) -> np.ndarray:
-    """F at each point, without building the per-point gradient tensor."""
-    c, b, q = tensors
-    n, f = points.shape
-    squares = (points[:, :, None] * points[:, None, :]).reshape(n, f * f)
-    l = squares @ q.reshape(f * f, -1)
-    l += points @ b
-    l += c
+def _f(l: np.ndarray) -> np.ndarray:
+    """F at each point from its row of model values L (model_matrix @ coef)."""
     return np.einsum("ij,ij->i", l, l)
 
 
-def _f_design(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """F at the points whose quadratic model matrix is `design`: one matmul."""
-    l = design @ coef
-    return np.einsum("ij,ij->i", l, l)
-
-
-def _derivatives(tensors, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _derivatives(tensors, points: np.ndarray,
+                 l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient 2 sum_i L_i J_i and Hessian 2 sum_i (J_i J_i^T + 2 L_i Q_i)
-    of F at each point, with J_i = b_i + 2 Q_i x."""
-    c, b, q = tensors
-    qx = np.einsum("ijm,nj->nim", q, points)
-    l = c + np.einsum("ni,nim->nm", points, b + qx)
-    jac = b + 2.0 * qx
+    of F at each point, from its model values L, with J_i = b_i + 2 Q_i x."""
+    b, q = tensors
+    jac = b + 2.0 * np.einsum("ijm,nj->nim", q, points)
     grad = 2.0 * np.einsum("nm,nim->ni", l, jac)
     hess = 2.0 * (np.einsum("nim,njm->nij", jac, jac)
                   + 2.0 * np.einsum("nm,ijm->nij", l, q))
@@ -198,24 +184,27 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     reaches its 1e-11 gradient tolerance. Exactly tied objective values are
     broken toward the lexicographically smallest coordinates. The grid and its
     model matrix are built at the first call for a factor count and reused by
-    later ones; the grid is scored with one matmul.
+    later ones. Every model value (grid, line search, `predicted`) is a model
+    matrix times the stacked coefficients.
     """
     coef = np.column_stack([m.coefficients for m in spec.models])
-    tensors = _tensor_form(spec.models)
+    tensors = _tensor_form(coef, spec.n_factors)
     grid, design = _search_grid(spec.n_factors)
-    f_grid = _f_design(design, coef)
+    l_grid = design @ coef
+    f_grid = _f(l_grid)
     if not np.all(np.isfinite(f_grid)):
         bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
     seeds = _basin_seeds(f_grid, _GRID_PER_AXIS, spec.n_factors)
     x = grid[seeds]
+    l_cur = l_grid[seeds]
     f_cur = f_grid[seeds]
     n_starts = x.shape[0]
     live = np.arange(n_starts)  # the starts still being polished
     accepted_steps = 0
     for _ in range(_MAX_ITERATIONS):
         xa = x[live]
-        g, h = _derivatives(tensors, xa)
+        g, h = _derivatives(tensors, xa, l_cur[live])
         pg_norm = _projected_gradient_norm(xa, g)
         moving = ~(pg_norm <= _GRAD_TOL)
         if not moving.all():
@@ -233,7 +222,8 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
         full_step = True
         while True:
             cand = _to_box(xa + t[:, None] * d)
-            fc = _f_batch(tensors, cand)
+            lc = model_matrix(cand) @ coef
+            fc = _f(lc)
             if not np.isfinite(fc).all():
                 bad = searching & ~np.isfinite(fc)
                 if bad.any():
@@ -249,7 +239,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
                 flat = searching & (np.abs(fc - fa) <= _FLAT_TOL * scale)
                 if flat.any():
                     xf = cand[flat]
-                    gf = _derivatives(tensors, xf)[0]
+                    gf = _derivatives(tensors, xf, lc[flat])[0]
                     searching[flat] = ~(_projected_gradient_norm(xf, gf)
                                         <= 0.5 * pg_norm[flat])
             np.multiply(t, 0.5, out=t, where=searching)
@@ -260,6 +250,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
         accepted_steps += int(np.count_nonzero(ok))
         rows = live[ok]
         x[rows] = cand[ok]
+        l_cur[rows] = lc[ok]
         f_cur[rows] = fc[ok]
         # a start whose objective no longer moves has converged
         live = live[ok & (fa - fc > 1e-15 * scale)]
@@ -269,16 +260,13 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     tie = np.flatnonzero(f_cur <= f_min + 1e-12 * (1.0 + abs(f_min)))
     order = np.lexsort(tuple(x[tie, k] for k in reversed(range(x.shape[1]))))
     winner = tie[order[0]]
-    point = x[winner].copy()
-    g_win = _derivatives(tensors, point[None, :])[0][0]
-    pg_win = point - _to_box(point - g_win)
+    point, predicted = x[winner], l_cur[winner]
+    g_win = _derivatives(tensors, point[None, :], predicted[None, :])[0]
     report = ConvergenceReport(
         starts=n_starts,
         iterations=accepted_steps,
-        gradient_norm=float(np.sqrt(np.sum(pg_win * pg_win))),
+        gradient_norm=float(_projected_gradient_norm(point[None, :], g_win)[0]),
     )
-    c, b, q = tensors
-    predicted = c + point @ b + np.einsum("i,ijm,j->m", point, q, point)
     physical = to_physical(space, point) if space is not None else None
     return Optimum(point=point, f_value=float(f_cur[winner]),
                    predicted=predicted, report=report, physical=physical)
@@ -299,7 +287,7 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
     coef = np.column_stack([m.coefficients for m in spec.models])
     axis = np.linspace(-1.0, 1.0, resolution)
     if f == 1:  # a slab of one point would take BLAS's matrix-vector path
-        values = _f_design(model_matrix(axis[:, None]), coef)
+        values = _f(model_matrix(axis[:, None]) @ coef)
         i = int(np.argmin(values))
         return axis[i:i + 1].copy(), float(values[i])
     slab = np.empty((resolution ** (f - 1), f))
@@ -314,7 +302,7 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
         design[:, 1] = first
         np.multiply(rest, first, out=design[:, 1 + f:f + f])  # x0 x_j
         design[:, square] = first * first
-        values = _f_design(design, coef)
+        values = _f(design @ coef)
         i = int(np.argmin(values))
         lows.append((values[i], i))
     k = int(np.argmin([value for value, _ in lows]))  # first in C order

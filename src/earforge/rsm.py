@@ -11,30 +11,6 @@ from .doe import DesignMatrix
 from .errors import ValidationError
 
 
-def term_names(factor_names) -> tuple[str, ...]:
-    """Model terms in column order: 1, linear, pairwise interactions, squares."""
-    names = list(factor_names)
-    terms = ["1"] + names
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            terms.append(f"{names[i]}*{names[j]}")
-    terms += [f"{n}^2" for n in names]
-    return tuple(terms)
-
-
-def model_matrix(points) -> np.ndarray:
-    """Quadratic model matrix for normalized points (n_points, n_factors)."""
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    n, f = x.shape
-    cols = [np.ones(n)]
-    cols += [x[:, i] for i in range(f)]
-    for i in range(f):
-        for j in range(i + 1, f):
-            cols.append(x[:, i] * x[:, j])
-    cols += [x[:, i] ** 2 for i in range(f)]
-    return np.column_stack(cols)
-
-
 @functools.cache
 def _pair_index(f: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column of each interaction term x_i x_j, i < j, in term order."""
@@ -43,19 +19,34 @@ def _pair_index(f: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _tensor_form(models):
-    """The models as L(x) = c + x @ b + x @ Q @ x, one column per model.
+def term_names(factor_names) -> tuple[str, ...]:
+    """Model terms in column order: 1, linear, pairwise interactions, squares."""
+    names = tuple(factor_names)
+    i, j = _pair_index(len(names))
+    pairs = [f"{names[a]}*{names[b]}" for a, b in zip(i.tolist(), j.tolist())]
+    return ("1", *names, *pairs, *[f"{n}^2" for n in names])
 
-    Returns c (m,), b (f, m) and a symmetric Q (f, f, m) whose off-diagonal
-    entries hold half the interaction coefficient (term_names order).
+
+def model_matrix(points) -> np.ndarray:
+    """Quadratic model matrix for normalized points (n_points, n_factors), in
+    term_names order: 1, x, the products x_i x_j in _pair_index order, x^2."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    i, j = _pair_index(x.shape[1])
+    return np.concatenate([np.ones((len(x), 1)), x, x[:, i] * x[:, j], x * x], axis=1)
+
+
+def _tensor_form(coef: np.ndarray, f: int):
+    """The slopes of the models whose coefficients are the columns of `coef`:
+    b (f, m) and a symmetric Q (f, f, m), so that L_i(x) = L_i(0) + x @ b_i +
+    x @ Q_i @ x has the gradient b_i + 2 Q_i x. Q's off-diagonal entries hold
+    half the interaction coefficient (term_names order). Values of L come from
+    model_matrix.
     """
-    coef = np.column_stack([m.coefficients for m in models])
-    f = len(models[0].factor_names)
     q = np.zeros((f, f, coef.shape[1]))
     i, j = _pair_index(f)
     q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
     q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
-    return coef[0], coef[1:1 + f], q
+    return coef[1:1 + f], q
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from earforge import campaign as cp
 from earforge.cli import cli_main
 from earforge.geometry import BlankSpec, deviation_vector, ear_amplitude
 from earforge.modal import analytic_mode, lumped_mass_diagonal, project
-from earforge.optimizer import (ObjectiveSpec, _derivatives, _f_batch,
-                                grid_oracle, minimize)
+from earforge.optimizer import (ObjectiveSpec, _derivatives, _f, grid_oracle,
+                                minimize)
 from earforge.plant import DC05, SurrogateParams, simulate
 from earforge.rsm import (QuadraticModel, ResponseTable, _tensor_form,
                           fit_quadratic, model_matrix)
@@ -27,9 +27,15 @@ from earforge.rsm import (QuadraticModel, ResponseTable, _tensor_form,
 
 def _objective(spec):
     """F and its gradient at one point, through the evaluators minimize uses."""
-    tensors = _tensor_form(spec.models)
-    return (lambda x: float(_f_batch(tensors, np.asarray(x)[None, :])[0]),
-            lambda x: _derivatives(tensors, np.asarray(x)[None, :])[0][0])
+    coef = np.column_stack([m.coefficients for m in spec.models])
+    tensors = _tensor_form(coef, spec.n_factors)
+
+    def values(x):
+        x = np.asarray(x, dtype=float)[None, :]
+        return x, model_matrix(x) @ coef
+
+    return (lambda x: float(_f(values(x)[1])[0]),
+            lambda x: _derivatives(tensors, *values(x))[0][0])
 
 
 def _check(label: str, ok: bool, detail: str) -> str | None:

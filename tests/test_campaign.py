@@ -1144,7 +1144,25 @@ class TestLocking:
         run_pipeline(d, "init")
         (d / "campaign.lock").write_text("12345")
         assert cli_main(["--campaign", str(d), "design"]) == 2
-        assert "lock" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "lock" in err.lower()
+        assert "held by PID 12345" in err
+
+    @pytest.mark.parametrize("content", [b"", b"\xff\xfe", b"pid?", None],
+                             ids=["empty", "not_ascii", "not_a_pid", "unreadable"])
+    def test_lock_without_a_pid_blocks_commands(self, tmp_path, capsys, content):
+        # None: the lock is a directory, which exists but cannot be read
+        d = tmp_path / "camp"
+        run_pipeline(d, "init")
+        lock = d / "campaign.lock"
+        if content is None:
+            lock.mkdir()
+        else:
+            lock.write_bytes(content)
+        assert cli_main(["--campaign", str(d), "design"]) == 2
+        err = capsys.readouterr().err
+        assert "lock" in err.lower()
+        assert "PID" not in err
 
     def test_lock_released_after_command(self, tmp_path):
         d = tmp_path / "camp"

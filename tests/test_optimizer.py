@@ -1,28 +1,42 @@
 import dataclasses
 import itertools
+import runpy
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import earforge
 from earforge import optimizer
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
-                                _derivatives, _f_batch, _f_design,
-                                _search_grid, grid_oracle, minimize)
+                                _derivatives, _f, _search_grid, grid_oracle,
+                                minimize)
 from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
 
 
+def stacked_coefficients(spec):
+    return np.column_stack([m.coefficients for m in spec.models])
+
+
 def objective_f(spec, point):
-    """F at one point, through the batch evaluator minimize uses."""
-    tensors = _tensor_form(spec.models)
-    return float(_f_batch(tensors, np.asarray(point)[None, :])[0])
+    """F at one point, through the evaluator minimize uses."""
+    return float(_f(model_matrix(point) @ stacked_coefficients(spec))[0])
+
+
+def objective_derivatives(spec, points, l=None):
+    """Gradient and Hessian of F at each point, as minimize computes them,
+    from the model values L there (by default model_matrix @ coef)."""
+    coef = stacked_coefficients(spec)
+    if l is None:
+        l = model_matrix(points) @ coef
+    return _derivatives(_tensor_form(coef, spec.n_factors), points, l)
 
 
 def objective_gradient(spec, point):
-    """Gradient of F at one point, through the batch evaluator minimize uses."""
-    return _derivatives(_tensor_form(spec.models),
-                        np.asarray(point)[None, :])[0][0]
+    """Gradient of F at one point, as minimize computes it."""
+    return objective_derivatives(spec, np.asarray(point)[None, :])[0][0]
 
 
 def model_from_terms(**terms):
@@ -41,6 +55,14 @@ def random_models(rng, n_models=5):
 
 
 ZERO_SPEC = ObjectiveSpec(models=(model_from_terms(),))
+PERFBENCH_INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+
+
+def rugged_pool(seed):
+    """The 256 objectives of the benchmark's optimize-rugged pool for a seed."""
+    rugged_models = runpy.run_path(str(PERFBENCH_INPUTS))["rugged_models"]
+    rng = np.random.default_rng(seed)
+    return [ObjectiveSpec(models=rugged_models(rng, earforge)) for _ in range(256)]
 
 
 def seeded_spec(rng, n_factors, n_models=5):
@@ -146,6 +168,23 @@ class TestObjective:
                 fd[k] = (objective_f(spec, x + e) - objective_f(spec, x - e)) / (2 * h)
             denom = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(g - fd) / denom <= 1e-4
+
+    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    def test_hessian_matches_finite_differences_of_the_gradient(self, n_factors):
+        rng = np.random.default_rng(55 + n_factors)
+        h = 1e-5
+        for _ in range(20):
+            spec = seeded_spec(rng, n_factors)
+            x = rng.uniform(-1, 1, (1, n_factors))
+            hess = objective_derivatives(spec, x)[1][0]
+            fd = np.empty((n_factors, n_factors))
+            for k in range(n_factors):
+                e = np.zeros((1, n_factors))
+                e[0, k] = h
+                fd[:, k] = (objective_derivatives(spec, x + e)[0][0]
+                            - objective_derivatives(spec, x - e)[0][0]) / (2 * h)
+            denom = max(1.0, float(np.linalg.norm(fd)))
+            assert np.linalg.norm(hess - fd) / denom <= 1e-6
 
 
 def basin_seeds_reference(f_grid, per_axis, n_factors):
@@ -315,13 +354,18 @@ class TestMinimize:
         assert a.report == b.report
 
     def test_predicted_values_match_models(self, reference_models):
-        spec = ObjectiveSpec(models=reference_models)
-        opt = minimize(spec)
-        for value, model in zip(opt.predicted, reference_models):
-            expected = (model_matrix(opt.point) @ model.coefficients)[0]
-            assert value == pytest.approx(expected, abs=1e-12)
-        assert opt.f_value == pytest.approx(np.sum(opt.predicted ** 2),
-                                            rel=1e-12)
+        # the reference objective, the benchmark's seed-1 rugged pool and
+        # seeded objectives of 1, 2 and 3 factors
+        rng = np.random.default_rng(56)
+        specs = [ObjectiveSpec(models=reference_models), *rugged_pool(1)]
+        specs += [seeded_spec(rng, n) for n in (1, 2, 3) for _ in range(20)]
+        for spec in specs:
+            opt = minimize(spec)
+            for value, model in zip(opt.predicted, spec.models):
+                expected = (model_matrix(opt.point) @ model.coefficients)[0]
+                assert value == pytest.approx(expected, abs=1e-12)
+            # F is the sum of the reported values' squares, bit for bit
+            assert opt.f_value == np.einsum("i,i->", opt.predicted, opt.predicted)
 
     def test_convergence_report_populated(self, reference_models):
         opt = minimize(ObjectiveSpec(models=reference_models))
@@ -344,7 +388,8 @@ class TestMinimize:
         specs += [seeded_spec(rng, n) for n in (1, 2) for _ in range(20)]
         for spec in specs:
             opt = minimize(spec)
-            g, h = _derivatives(_tensor_form(spec.models), opt.point[None, :])
+            g, h = objective_derivatives(spec, opt.point[None, :],
+                                         opt.predicted[None, :])
             pg = opt.point - np.clip(opt.point - g[0], -1.0, 1.0)
             assert np.linalg.norm(pg) <= 1e-11
             assert opt.report.gradient_norm == pytest.approx(np.linalg.norm(pg))
@@ -364,15 +409,13 @@ class TestMinimize:
                            np.array([-0.09, -0.9, 0.0, 0.0, 10.0, 0.0]), 0.0, 0.0),
             QuadraticModel("Y", ("X1", "X2"),
                            np.array([0.01, 0.0, 0.01, 0.0, 0.0, 0.0]), 0.0, 0.0)))
-        tensors = _tensor_form(spec.models)
         grid, design = _search_grid(2)
-        coef = np.column_stack([m.coefficients for m in spec.models])
-        seeds = grid[_basin_seeds(_f_design(design, coef), 21, 2)]
+        seeds = grid[_basin_seeds(_f(design @ stacked_coefficients(spec)), 21, 2)]
         assert np.allclose(seeds[:, 0], 0.1)
-        _, h = _derivatives(tensors, seeds)
+        _, h = objective_derivatives(spec, seeds)
         assert np.all(h[:, 0, 0] < 0.0)
         saddle = np.array([[0.045, -1.0]])
-        g, h = _derivatives(tensors, saddle)
+        g, h = objective_derivatives(spec, saddle)
         assert np.abs(g).max() <= 1e-15 and h[0, 0, 0] == pytest.approx(-4.41)
         opt = minimize(spec)
         oracle_point, oracle_f = grid_oracle(spec, 41)

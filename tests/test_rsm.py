@@ -21,6 +21,19 @@ def normal_equations_fit(points, y):
     return np.linalg.solve(a.T @ a, a.T @ y)
 
 
+def model_matrix_reference(points, names):
+    """Term names and model matrix columns, built one column at a time."""
+    x = np.atleast_2d(points)
+    f = x.shape[1]
+    terms = [("1", np.ones(len(x)))]
+    terms += [(names[i], x[:, i]) for i in range(f)]
+    for i in range(f):
+        for j in range(i + 1, f):
+            terms.append((f"{names[i]}*{names[j]}", x[:, i] * x[:, j]))
+    terms += [(f"{names[i]}^2", x[:, i] ** 2) for i in range(f)]
+    return tuple(t for t, _ in terms), np.column_stack([c for _, c in terms])
+
+
 def make_table(values, names=None):
     values = np.atleast_2d(np.asarray(values, dtype=float))
     if values.shape[0] == 1:
@@ -134,6 +147,22 @@ class TestInfluence:
         for model, factor in zip(reference_models, ("D", "A1", "A2")):
             top = 1 + int(np.argmax(np.abs(model.coefficients[1:])))
             assert model.terms[top] == factor
+
+
+class TestModelMatrix:
+    @pytest.mark.parametrize("n_factors", [1, 2, 3, 4, 5, 6])
+    def test_matches_column_by_column_reference(self, n_factors):
+        # 1 factor has no pair columns
+        rng = np.random.default_rng(60 + n_factors)
+        names = tuple(f"X{k + 1}" for k in range(n_factors))
+        for n_points in (1, 2, 9, 50):
+            x = rng.uniform(-1, 1, (n_points, n_factors))
+            want_terms, want = model_matrix_reference(x, names)
+            got = model_matrix(x)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+        assert term_names(names) == want_terms
+        assert np.array_equal(model_matrix(x[0]), want[:1])
 
 
 class TestSerialization:

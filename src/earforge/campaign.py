@@ -53,6 +53,8 @@ RUN_RIM = RUNS_DIR + "/run_{:02d}.csv"  # rim of design point 1, 2, ...
 BASELINE_RIM = f"{RUNS_DIR}/baseline.csv"
 OPTIMUM_RIM = f"{RUNS_DIR}/optimum.csv"
 REPORTS_DIR = "reports"
+# the plant reads each design point as a blank (D, A1, A2)
+_FACTORS = ("D", "A1", "A2")
 
 STAGES = ("configured", "designed", "simulated", "fitted", "optimized",
           "verified")
@@ -76,11 +78,9 @@ class CampaignConfig:
     surrogate: SurrogateParams = field(default_factory=SurrogateParams)
 
     def __post_init__(self):
-        # the plant reads each design point as a blank (D, A1, A2)
-        if self.space.names != ("D", "A1", "A2"):
+        if self.space.names != _FACTORS:
             raise ValidationError(
-                f"campaign factors must be ('D', 'A1', 'A2'), "
-                f"got {self.space.names}")
+                f"campaign factors must be {_FACTORS}, got {self.space.names}")
         geometry.check_finite(self)
         if self.target_height <= 0:
             raise ValidationError(
@@ -333,17 +333,20 @@ def _responses(n: int) -> list[str]:
 
 
 def _model_fields(response: str, entry: dict) -> dict:
-    """QuadraticModel fields from one response's models.json entry."""
+    """QuadraticModel fields from one response's models.json entry, which
+    uses the campaign's factors."""
+    if entry["factors"] != list(_FACTORS):
+        raise StateIntegrityError(f"models must use the factors {_FACTORS}")
     return {**entry["diagnostics"], "response": response,
             "factor_names": entry["factors"],
             "coefficients": [entry["coefficients"][t]
-                             for t in term_names(entry["factors"])]}
+                             for t in term_names(_FACTORS)]}
 
 
 def _check_layout(state: CampaignState) -> None:
-    """Each per-mode section holds N_MODES entries, the models use the
-    factors, each run record is its design point as simulate recorded it, and
-    each rim file is where its stage put it, inside the campaign."""
+    """Each per-mode section holds N_MODES entries, each run record is its
+    design point as simulate recorded it, and each rim file is where its
+    stage put it, inside the campaign."""
     cfg, v, design = state.config, state.verification, state.design
     sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
     sized += [("models", state.models),
@@ -354,8 +357,6 @@ def _check_layout(state: CampaignState) -> None:
         if values is not None and len(values) != modal.N_MODES:
             raise StateIntegrityError(f"{section} holds {len(values)} entries, "
                                       f"not n_modes = {modal.N_MODES}")
-    if any(m.factor_names != cfg.space.names for m in state.models or ()):
-        raise StateIntegrityError(f"models must use the factors {cfg.space.names}")
     pinned = []
     if state.runs:  # the lifecycle check has put the design before them
         if len(state.runs) != design.n_points:

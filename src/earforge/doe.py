@@ -39,7 +39,8 @@ class Factor:
 
 @dataclass(frozen=True)
 class FactorSpace:
-    """Ordered factors plus the star distance alpha (normalized units)."""
+    """The blank's three ordered factors plus the star distance alpha
+    (normalized units)."""
 
     factors: tuple[Factor, ...]
     alpha: float = DEFAULT_ALPHA
@@ -47,21 +48,17 @@ class FactorSpace:
     def __post_init__(self):
         if isinstance(self.factors, list):
             object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) < 1:
-            raise ValidationError("factor space needs at least one factor")
+        names = self.names
+        if len(names) != 3:
+            raise ValidationError(f"a factor space has three factors, got {names}")
+        if len(set(names)) != 3:
+            raise ValidationError(f"duplicate factor names: {names}")
         if not 1.0 <= self.alpha < math.inf:
             raise ValidationError(f"alpha must be finite and >= 1, got {self.alpha}")
-        names = [f.name for f in self.factors]
-        if len(set(names)) != len(names):
-            raise ValidationError(f"duplicate factor names: {names}")
 
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.factors)
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.factors)
 
 
 def default_factor_space() -> FactorSpace:
@@ -75,56 +72,41 @@ def default_factor_space() -> FactorSpace:
 class DesignMatrix:
     """CCD points in normalized coordinates plus the role of each point."""
 
-    points: np.ndarray        # (n_points, n_factors)
+    points: np.ndarray        # (n_points, 3)
     roles: tuple[str, ...]    # one of ROLE_FACTORIAL / ROLE_CENTER / ROLE_STAR
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[0] != len(self.roles):
-            raise ValidationError("design points/roles shape mismatch")
+        if points.shape != (len(self.roles), 3):
+            raise ValidationError("design points must be one row of three factors per role")
         object.__setattr__(self, "points", points)
 
     @property
     def n_points(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def n_factors(self) -> int:
-        return self.points.shape[1]
-
 
 def ccd_design(space: FactorSpace) -> DesignMatrix:
     """Full central composite design in normalized coordinates.
 
-    Point order: the 2^f factorial block in binary low-to-high order (last
+    Point order: the 8 factorial points in binary low-to-high order (last
     factor varies fastest), the single center point, then the star pair
-    (-alpha, +alpha) of each factor in turn. Total 2^f + 1 + 2f points.
+    (-alpha, +alpha) of each factor in turn. Total 15 points.
     """
-    f = space.n_factors
-    if f < 2 or f > 6:
-        raise ValidationError(f"CCD supports 2..6 factors, got {f}")
-    points = []
-    roles = []
-    for bits in itertools.product((-1.0, 1.0), repeat=f):
-        points.append(list(bits))
-        roles.append(ROLE_FACTORIAL)
-    points.append([0.0] * f)
-    roles.append(ROLE_CENTER)
-    for i in range(f):
-        for sign in (-1.0, 1.0):
-            p = [0.0] * f
-            p[i] = sign * space.alpha
-            points.append(p)
-            roles.append(ROLE_STAR)
-    return DesignMatrix(points=np.array(points), roles=tuple(roles))
+    stars = np.zeros((6, 3))
+    for i in range(3):
+        stars[2 * i:2 * i + 2, i] = -space.alpha, space.alpha
+    points = np.vstack([list(itertools.product((-1.0, 1.0), repeat=3)),
+                        np.zeros((1, 3)), stars])
+    roles = (ROLE_FACTORIAL,) * 8 + (ROLE_CENTER,) + (ROLE_STAR,) * 6
+    return DesignMatrix(points=points, roles=roles)
 
 
 def to_physical(space: FactorSpace, normalized) -> np.ndarray:
     """Map normalized coordinates to physical units (vector or matrix)."""
     x = np.asarray(normalized, dtype=float)
-    if x.shape[-1] != space.n_factors:
-        raise ValidationError(
-            f"coordinate length {x.shape[-1]} != factor count {space.n_factors}")
+    if x.shape[-1] != 3:
+        raise ValidationError(f"coordinate length {x.shape[-1]} != 3 factors")
     center = np.array([f.center for f in space.factors])
     half = np.array([f.half_range for f in space.factors])
     return center + x * half

@@ -3,14 +3,14 @@
 The objective F(x) = sum_i L_i(x)^2 over the fitted quadratic surfaces L_i is
 a smooth quartic. Every L_i value comes from the fit's own quadratic model
 matrix times the stacked coefficients, and F is the row sum of their squares.
-F is scored on a dense grid whose model matrix depends only on the factor
-count, so it is built once per factor count and shared, read-only. Only the
-grid's basins are polished, its discrete local minima plus the few best grid
-points. Each start keeps its L row beside its F, and its gradient and Hessian
-take that row and the slopes b_i + 2 Q_i x. The starts take projected Newton
-steps on the closed-form Hessian with Armijo backtracking along the projection
-arc, in lockstep with vectorized array ops, and the reduction to a single
-winner is ordered, so results are deterministic. `Optimum.predicted` is the
+F is scored on a dense grid over the blank's three factors, whose model
+matrix is built once and shared, read-only. Only the grid's basins are
+polished, its discrete local minima plus the few best grid points. Each
+start keeps its L row beside its F, and its gradient and Hessian take that
+row and the slopes b_i + 2 Q_i x. The starts take projected Newton steps on
+the closed-form Hessian with Armijo backtracking along the projection arc,
+in lockstep with vectorized array ops, and the reduction to a single winner
+is ordered, so results are deterministic. `Optimum.predicted` is the
 winner's L row, so `f_value` is the sum of its squares.
 """
 
@@ -45,14 +45,7 @@ class ObjectiveSpec:
         models = tuple(self.models)
         if not models:
             raise ValidationError("objective needs at least one model")
-        f = len(models[0].factor_names)
-        if any(len(m.factor_names) != f for m in models):
-            raise ValidationError("all models must share the same factor count")
         object.__setattr__(self, "models", models)
-
-    @property
-    def n_factors(self) -> int:
-        return len(self.models[0].factor_names)
 
 
 @dataclass(frozen=True)
@@ -121,43 +114,44 @@ def _to_box(points: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(points, -1.0), 1.0)
 
 
-def _grid_points(n_factors: int, per_axis: int) -> np.ndarray:
-    """The per_axis**n_factors points of a uniform grid over the cube, C order."""
-    axis = np.linspace(-1.0, 1.0, per_axis)
-    index = np.indices((per_axis,) * n_factors).reshape(n_factors, per_axis ** n_factors)
-    return np.ascontiguousarray(axis[index.T])
+def _grid_points(first: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """The grid points (x0, x1, x2), x0 from `first` and x1, x2 from `axis`,
+    in C order (x2 varies fastest)."""
+    x0, x1, x2 = np.meshgrid(first, axis, axis, indexing="ij")
+    return np.column_stack([x0.ravel(), x1.ravel(), x2.ravel()])
 
 
 @functools.cache
-def _search_grid(n_factors: int) -> tuple[np.ndarray, np.ndarray]:
+def _search_grid() -> tuple[np.ndarray, np.ndarray]:
     """The read-only search grid of `minimize` and its quadratic model matrix."""
-    grid = _grid_points(n_factors, _GRID_PER_AXIS)
+    axis = np.linspace(-1.0, 1.0, _GRID_PER_AXIS)
+    grid = _grid_points(axis, axis)
     design = model_matrix(grid)
     grid.flags.writeable = False
     design.flags.writeable = False
     return grid, design
 
 
-def _basin_seeds(f_grid: np.ndarray, per_axis: int, n_factors: int) -> np.ndarray:
-    """Grid indices, in C order, worth polishing.
+def _basin_seeds(f_grid: np.ndarray, per_axis: int) -> np.ndarray:
+    """Grid indices, in C order, of a per_axis**3 grid worth polishing.
 
-    These are the discrete local minima (F <= all 3**n_factors - 1 neighbours,
-    the box edges padded with +inf, so every plateau point counts) together
-    with the _SEED_BEST best grid points, ties at the last of them taken in
-    index order, as a stable sort would. The partition needs at least
-    _SEED_BEST grid points; minimize's 21 per axis always give more.
+    These are the discrete local minima (F <= all 26 neighbours, the box
+    edges padded with +inf, so every plateau point counts) together with the
+    _SEED_BEST best grid points, ties at the last of them taken in index
+    order, as a stable sort would. The partition needs at least _SEED_BEST
+    grid points; minimize's 21 per axis always give more.
     """
-    # minimum over each point's 3**n_factors neighbourhood, one axis at a time
+    # minimum over each point's 27-point neighbourhood, one axis at a time
     # (a separable running minimum on a copy padded with +inf, flat, so the
     # neighbours along axis k are the entries (per_axis + 2)**k away; a pad
     # entry only ever meets pad entries of its own axis before that axis's
     # pass, and the point itself never changes the test)
     side = per_axis + 2
-    inner = (slice(1, -1),) * n_factors
-    padded = np.full((side,) * n_factors, np.inf)
-    padded[inner] = f_grid.reshape((per_axis,) * n_factors)
+    inner = (slice(1, -1),) * 3
+    padded = np.full((side,) * 3, np.inf)
+    padded[inner] = f_grid.reshape((per_axis,) * 3)
     low = padded.ravel()
-    for axis in range(n_factors):
+    for axis in range(3):
         s = side ** axis
         prev = low.copy()
         np.minimum(low[s:], prev[:-s], out=low[s:])
@@ -183,19 +177,19 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
     accepted when it at least halves the projected gradient, so the polish
     reaches its 1e-11 gradient tolerance. Exactly tied objective values are
     broken toward the lexicographically smallest coordinates. The grid and its
-    model matrix are built at the first call for a factor count and reused by
-    later ones. Every model value (grid, line search, `predicted`) is a model
-    matrix times the stacked coefficients.
+    model matrix are built at the first call and reused by later ones. Every
+    model value (grid, line search, `predicted`) is a model matrix times the
+    stacked coefficients.
     """
     coef = np.column_stack([m.coefficients for m in spec.models])
-    tensors = _tensor_form(coef, spec.n_factors)
-    grid, design = _search_grid(spec.n_factors)
+    tensors = _tensor_form(coef)
+    grid, design = _search_grid()
     l_grid = design @ coef
     f_grid = _f(l_grid)
     if not np.all(np.isfinite(f_grid)):
         bad = grid[int(np.flatnonzero(~np.isfinite(f_grid))[0])]
         raise NumericError(f"objective is not finite at seed {bad.tolist()}")
-    seeds = _basin_seeds(f_grid, _GRID_PER_AXIS, spec.n_factors)
+    seeds = _basin_seeds(f_grid, _GRID_PER_AXIS)
     x = grid[seeds]
     l_cur = l_grid[seeds]
     f_cur = f_grid[seeds]
@@ -258,7 +252,7 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
             break
     f_min = float(np.min(f_cur))
     tie = np.flatnonzero(f_cur <= f_min + 1e-12 * (1.0 + abs(f_min)))
-    order = np.lexsort(tuple(x[tie, k] for k in reversed(range(x.shape[1]))))
+    order = np.lexsort(x[tie, ::-1].T)  # x0 is the primary key
     winner = tie[order[0]]
     point, predicted = x[winner], l_cur[winner]
     g_win = _derivatives(tensors, point[None, :], predicted[None, :])[0]
@@ -283,25 +277,17 @@ def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float
     """
     if resolution < 3:
         raise ValidationError(f"grid resolution must be >= 3, got {resolution}")
-    f = spec.n_factors
     coef = np.column_stack([m.coefficients for m in spec.models])
     axis = np.linspace(-1.0, 1.0, resolution)
-    if f == 1:  # a slab of one point would take BLAS's matrix-vector path
-        values = _f(model_matrix(axis[:, None]) @ coef)
-        i = int(np.argmin(values))
-        return axis[i:i + 1].copy(), float(values[i])
-    slab = np.empty((resolution ** (f - 1), f))
-    slab[:, 0] = axis[0]
-    slab[:, 1:] = _grid_points(f - 1, resolution)
+    slab = _grid_points(axis[:1], axis)
     # column-major, so the columns rewritten per slab are contiguous
     design = np.asfortranarray(model_matrix(slab))
     rest = np.asfortranarray(slab[:, 1:])
-    square = 1 + f + f * (f - 1) // 2  # column of the first factor's square
     lows = []  # each slab's first minimum and its index in the slab
     for first in axis:
         design[:, 1] = first
-        np.multiply(rest, first, out=design[:, 1 + f:f + f])  # x0 x_j
-        design[:, square] = first * first
+        np.multiply(rest, first, out=design[:, 4:6])  # x0 x1, x0 x2
+        design[:, 7] = first * first  # x0^2
         values = _f(design @ coef)
         i = int(np.argmin(values))
         lows.append((values[i], i))

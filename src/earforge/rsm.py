@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,42 +10,41 @@ from .doe import DesignMatrix
 from .errors import ValidationError
 
 
-@functools.cache
-def _pair_index(f: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column of each interaction term x_i x_j, i < j, in term order."""
-    i, j = np.triu_indices(f, k=1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+# Row and column of each interaction term x_i x_j, i < j, in term order:
+# (0, 1), (0, 2), (1, 2), the products of the blank's three factors.
+_PAIR_I, _PAIR_J = np.array([0, 0, 1]), np.array([1, 2, 2])
+_PAIR_I.flags.writeable = _PAIR_J.flags.writeable = False
 
 
 def term_names(factor_names) -> tuple[str, ...]:
     """Model terms in column order: 1, linear, pairwise interactions, squares."""
     names = tuple(factor_names)
-    i, j = _pair_index(len(names))
-    pairs = [f"{names[a]}*{names[b]}" for a, b in zip(i.tolist(), j.tolist())]
+    if len(names) != 3:
+        raise ValidationError(
+            f"a quadratic model has three factors, got {len(names)}: {names}")
+    pairs = [f"{names[i]}*{names[j]}" for i, j in zip(_PAIR_I, _PAIR_J)]
     return ("1", *names, *pairs, *[f"{n}^2" for n in names])
 
 
 def model_matrix(points) -> np.ndarray:
-    """Quadratic model matrix for normalized points (n_points, n_factors), in
-    term_names order: 1, x, the products x_i x_j in _pair_index order, x^2."""
+    """Quadratic model matrix for normalized points (n_points, 3), in
+    term_names order: 1, x, the products x_i x_j in pair order, x^2."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
-    i, j = _pair_index(x.shape[1])
-    return np.concatenate([np.ones((len(x), 1)), x, x[:, i] * x[:, j], x * x], axis=1)
+    return np.concatenate(
+        [np.ones((len(x), 1)), x, x[:, _PAIR_I] * x[:, _PAIR_J], x * x], axis=1)
 
 
-def _tensor_form(coef: np.ndarray, f: int):
+def _tensor_form(coef: np.ndarray):
     """The slopes of the models whose coefficients are the columns of `coef`:
-    b (f, m) and a symmetric Q (f, f, m), so that L_i(x) = L_i(0) + x @ b_i +
+    b (3, m) and a symmetric Q (3, 3, m), so that L_i(x) = L_i(0) + x @ b_i +
     x @ Q_i @ x has the gradient b_i + 2 Q_i x. Q's off-diagonal entries hold
     half the interaction coefficient (term_names order). Values of L come from
     model_matrix.
     """
-    q = np.zeros((f, f, coef.shape[1]))
-    i, j = _pair_index(f)
-    q[i, j] = q[j, i] = 0.5 * coef[1 + f:1 + f + i.size]
-    q[np.arange(f), np.arange(f)] = coef[1 + f + i.size:]
-    return coef[1:1 + f], q
+    q = np.zeros((3, 3, coef.shape[1]))
+    q[_PAIR_I, _PAIR_J] = q[_PAIR_J, _PAIR_I] = 0.5 * coef[4:7]
+    q[[0, 1, 2], [0, 1, 2]] = coef[7:]
+    return coef[1:4], q
 
 
 @dataclass(frozen=True)
@@ -105,8 +103,6 @@ def fit_quadratic(design: DesignMatrix, responses: ResponseTable,
     normalized factor units; deterministic. Raises ValidationError when the
     model matrix is rank deficient.
     """
-    if len(factor_names) != design.n_factors:
-        raise ValidationError("factor_names length != design factor count")
     if responses.n_points != design.n_points:
         raise ValidationError(
             f"{responses.n_points} response rows for {design.n_points} design points")

@@ -28,7 +28,7 @@ from earforge.rsm import (QuadraticModel, ResponseTable, _tensor_form,
 def _objective(spec):
     """F and its gradient at one point, through the evaluators minimize uses."""
     coef = np.column_stack([m.coefficients for m in spec.models])
-    tensors = _tensor_form(coef, spec.n_factors)
+    tensors = _tensor_form(coef)
 
     def values(x):
         x = np.asarray(x, dtype=float)[None, :]

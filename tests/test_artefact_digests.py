@@ -14,7 +14,7 @@ def test_prints_every_digest_and_the_machine_facts():
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     digests = json.loads(done.stdout)
-    assert len(digests) == 198
+    assert len(digests) == 206
     assert all(re.fullmatch("[0-9a-f]{64}", v) for v in digests.values())
     facts = [json.loads(line) for line in done.stderr.splitlines()
              if line.startswith('{"machine": ')]

@@ -598,6 +598,9 @@ class TestMalformedState:
          "models holds 4 entries, not n_modes = 5"),
         ("optimize", _put("models", "L2", "factors", value=["D", "A1"]),
          "models must use the factors ('D', 'A1', 'A2')"),
+        ("optimize", _put("models", "L2", "factors",
+                          value=["D", "A1", "A2", "A3"]),
+         "models must use the factors ('D', 'A1', 'A2')"),
         ("verify", _put("optimum", "point", 0, value="0.1"),
          "Optimum.point[0] must be float, got '0.1'"),
         ("verify", _put("optimum", "physical", "D", value="117"),
@@ -639,7 +642,8 @@ class TestMalformedState:
          "runs holds 16 entries, not the design's 15"),
     ], ids=["design-point-is-str", "run-lambda-is-str", "run-lambda-is-bool",
             "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
-            "no-model-L5", "model-factors", "optimum-point-is-str",
+            "no-model-L5", "model-factors", "model-four-factors",
+            "optimum-point-is-str",
             "optimum-physical-is-str", "no-predicted-L5",
             "verified-has-2-lambdas", "baseline-has-1-lambda",
             "design-point-is-nan", "run-lambda-is-nan",

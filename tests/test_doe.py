@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from earforge.doe import (Factor, FactorSpace, ROLE_CENTER, ROLE_FACTORIAL,
-                          ROLE_STAR, ccd_design, to_physical, write_design_csv)
+                          ROLE_STAR, ccd_design, default_factor_space,
+                          to_physical, write_design_csv)
 from earforge.errors import ValidationError
 
 
@@ -41,23 +42,25 @@ class TestCcdDesign:
         assert np.max(np.abs(physical - reference)) <= 0.005
         assert tuple(roles) == ccd_design(default_space).roles
 
-    def test_two_factor_face_centered(self):
-        space = FactorSpace((Factor("X1", 0, 1), Factor("X2", 0, 1)), alpha=1.0)
+    def test_face_centered(self):
+        space = FactorSpace(default_factor_space().factors, alpha=1.0)
         design = ccd_design(space)
-        assert design.n_points == 9
+        assert design.n_points == 15
         stars = design.points[[r == ROLE_STAR for r in design.roles]]
-        assert np.max(np.abs(stars)) == 1.0
+        # each star sits on the centre of a face of the cube
+        assert np.array_equal(stars, [[-1, 0, 0], [1, 0, 0], [0, -1, 0],
+                                      [0, 1, 0], [0, 0, -1], [0, 0, 1]])
 
     def test_column_balance_is_exact(self, default_design):
         sums = default_design.points.sum(axis=0)
         assert np.array_equal(sums, np.zeros(3))
 
     def test_factor_count_limits(self):
-        with pytest.raises(ValidationError):
-            ccd_design(FactorSpace((Factor("X1", 0, 1),)))
-        seven = tuple(Factor(f"X{i}", 0, 1) for i in range(7))
-        with pytest.raises(ValidationError):
-            ccd_design(FactorSpace(seven))
+        # the blank has three factors, and no other count makes a space
+        for n in (1, 2, 4, 7):
+            factors = tuple(Factor(f"X{i}", 0, 1) for i in range(n))
+            with pytest.raises(ValidationError, match="three factors"):
+                FactorSpace(factors)
 
 
 class TestCoordinateMaps:
@@ -82,13 +85,15 @@ class TestFactorValidation:
             Factor("D", 117.0, 0.0)
 
     def test_alpha_at_least_one(self):
+        factors = default_factor_space().factors
         for alpha in (0.9, math.nan, math.inf):
             with pytest.raises(ValidationError, match="finite and >= 1"):
-                FactorSpace((Factor("D", 117, 1.5),), alpha=alpha)
+                FactorSpace(factors, alpha=alpha)
 
     def test_duplicate_names(self):
-        with pytest.raises(ValidationError):
-            FactorSpace((Factor("D", 117, 1.5), Factor("D", 0, 1.5)))
+        with pytest.raises(ValidationError, match="duplicate factor names"):
+            FactorSpace((Factor("D", 117, 1.5), Factor("A1", 0, 1.5),
+                         Factor("D", 0, 1.5)))
 
     def test_default_space_layout(self, default_space):
         assert default_space.names == ("D", "A1", "A2")

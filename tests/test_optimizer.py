@@ -13,7 +13,7 @@ from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
                                 _derivatives, _f, _search_grid, grid_oracle,
                                 minimize)
-from earforge.rsm import QuadraticModel, _tensor_form, model_matrix, term_names
+from earforge.rsm import QuadraticModel, _tensor_form, model_matrix
 
 
 def stacked_coefficients(spec):
@@ -31,7 +31,7 @@ def objective_derivatives(spec, points, l=None):
     coef = stacked_coefficients(spec)
     if l is None:
         l = model_matrix(points) @ coef
-    return _derivatives(_tensor_form(coef, spec.n_factors), points, l)
+    return _derivatives(_tensor_form(coef), points, l)
 
 
 def objective_gradient(spec, point):
@@ -65,13 +65,18 @@ def rugged_pool(seed):
     return [ObjectiveSpec(models=rugged_models(rng, earforge)) for _ in range(256)]
 
 
-def seeded_spec(rng, n_factors, n_models=5):
-    """n_models quadratics over n_factors factors with N(0, 1) coefficients."""
-    names = tuple(f"X{k + 1}" for k in range(n_factors))
-    n_terms = len(term_names(names))
-    return ObjectiveSpec(models=tuple(
-        QuadraticModel("Y", names, rng.normal(0, 1, n_terms), 0.0, 0.0)
-        for _ in range(n_models)))
+def seeded_spec(rng, n_active, n_models=5):
+    """n_models quadratics over (X1, X2, X3) with N(0, 1) coefficients on the
+    terms of the first n_active factors and zeros on the rest, so F does not
+    depend on the last 3 - n_active factors."""
+    # a term is nonzero at (1, .., 1, 0, ..) iff it holds active factors only
+    active = model_matrix([1.0] * n_active + [0.0] * (3 - n_active))[0] != 0.0
+    models = []
+    for _ in range(n_models):
+        coef = np.zeros(10)
+        coef[active] = rng.normal(0, 1, np.count_nonzero(active))
+        models.append(dataclasses.replace(model_from_terms(), coefficients=coef))
+    return ObjectiveSpec(models=tuple(models))
 
 
 def reference_f(coef, points):
@@ -130,22 +135,19 @@ class TestObjective:
         assert opt.physical[2] == pytest.approx(-0.3368, abs=1e-3)
         assert opt.f_value == pytest.approx(0.0131311, abs=1e-6)
 
-    @pytest.mark.parametrize("n_factors, bounds", [
+    @pytest.mark.parametrize("n_active, bounds", [
         (2, None),
         (3, None),
         (3, [[-0.5, 0.7], [-2.0, 1.0], [0.0, 3.0]]),
     ])
-    def test_tensor_form_matches_model_matrix(self, n_factors, bounds):
-        # bounds: the box the 200 evaluation points are drawn from, None for
-        # the cube [-1, 1] that minimize searches
+    def test_tensor_form_matches_model_matrix(self, n_active, bounds):
+        # n_active: the factors F depends on; bounds: the box the 200
+        # evaluation points are drawn from, None for the cube [-1, 1] that
+        # minimize searches
         rng = np.random.default_rng(44)
-        names = tuple(f"X{k + 1}" for k in range(n_factors))
-        n_terms = len(term_names(names))
-        spec = ObjectiveSpec(
-            models=tuple(QuadraticModel("Y", names, rng.normal(0, 1, n_terms),
-                                        0.0, 0.0) for _ in range(5)))
-        box = np.array(bounds or [[-1.0, 1.0]] * n_factors)
-        points = rng.uniform(box[:, 0], box[:, 1], (200, n_factors))
+        spec = seeded_spec(rng, n_active)
+        box = np.array(bounds or [[-1.0, 1.0]] * 3)
+        points = rng.uniform(box[:, 0], box[:, 1], (200, 3))
         coef = np.column_stack([m.coefficients for m in spec.models])
         f_ref = reference_f(coef, points)
         g_ref = reference_gradient(coef, points)
@@ -169,17 +171,18 @@ class TestObjective:
             denom = max(1.0, float(np.linalg.norm(fd)))
             assert np.linalg.norm(g - fd) / denom <= 1e-4
 
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
-    def test_hessian_matches_finite_differences_of_the_gradient(self, n_factors):
-        rng = np.random.default_rng(55 + n_factors)
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
+    def test_hessian_matches_finite_differences_of_the_gradient(self, n_active):
+        # n_active: the factors F depends on; the Hessian is singular below 3
+        rng = np.random.default_rng(55 + n_active)
         h = 1e-5
         for _ in range(20):
-            spec = seeded_spec(rng, n_factors)
-            x = rng.uniform(-1, 1, (1, n_factors))
+            spec = seeded_spec(rng, n_active)
+            x = rng.uniform(-1, 1, (1, 3))
             hess = objective_derivatives(spec, x)[1][0]
-            fd = np.empty((n_factors, n_factors))
-            for k in range(n_factors):
-                e = np.zeros((1, n_factors))
+            fd = np.empty((3, 3))
+            for k in range(3):
+                e = np.zeros((1, 3))
                 e[0, k] = h
                 fd[:, k] = (objective_derivatives(spec, x + e)[0][0]
                             - objective_derivatives(spec, x - e)[0][0]) / (2 * h)
@@ -187,13 +190,13 @@ class TestObjective:
             assert np.linalg.norm(hess - fd) / denom <= 1e-6
 
 
-def basin_seeds_reference(f_grid, per_axis, n_factors):
-    """Local minima by 3**n_factors - 1 shifted comparisons against an
-    +inf-padded cube, plus the _SEED_BEST first of a stable sort."""
-    cube = f_grid.reshape((per_axis,) * n_factors)
+def basin_seeds_reference(f_grid, per_axis):
+    """Local minima by 26 shifted comparisons against an +inf-padded cube,
+    plus the _SEED_BEST first of a stable sort."""
+    cube = f_grid.reshape((per_axis,) * 3)
     padded = np.pad(cube, 1, constant_values=np.inf)
     keep = np.ones(cube.shape, dtype=bool)
-    for offset in itertools.product((-1, 0, 1), repeat=n_factors):
+    for offset in itertools.product((-1, 0, 1), repeat=3):
         if any(offset):
             keep &= cube <= padded[tuple(slice(1 + o, 1 + o + per_axis)
                                          for o in offset)]
@@ -205,7 +208,7 @@ def basin_seeds_reference(f_grid, per_axis, n_factors):
 def dense_grid_argmin(spec, resolution):
     """The first grid argmin of F in C order, from one scan of the whole grid."""
     axis = np.linspace(-1.0, 1.0, resolution)
-    mesh = np.meshgrid(*[axis] * spec.n_factors, indexing="ij")
+    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     f = reference_f(np.column_stack([m.coefficients for m in spec.models]), points)
     i = int(np.argmin(f))
@@ -213,24 +216,26 @@ def dense_grid_argmin(spec, resolution):
 
 
 class TestBasinSeeds:
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
     @pytest.mark.parametrize("levels", [None, 3])
-    def test_matches_reference_on_seeded_grids(self, n_factors, levels):
+    def test_matches_reference_on_seeded_grids(self, n_active, levels):
         # levels: None for continuous values, else that many distinct values,
-        # so plateaus and ties are everywhere
-        rng = np.random.default_rng(46 + n_factors)
+        # so plateaus and ties are everywhere; n_active: the axes F varies
+        # along, the first ones, so it is constant along the rest
+        rng = np.random.default_rng(46 + n_active)
         for _ in range(20):
-            size = 21 ** n_factors
+            size = 21 ** n_active
             f = (rng.random(size) if levels is None
                  else rng.integers(0, levels, size).astype(float))
-            assert np.array_equal(_basin_seeds(f, 21, n_factors),
-                                  basin_seeds_reference(f, 21, n_factors))
+            f = np.repeat(f, 21 ** (3 - n_active))
+            assert np.array_equal(_basin_seeds(f, 21),
+                                  basin_seeds_reference(f, 21))
 
     def test_plateau_keeps_every_point(self):
         f = np.full(21 ** 3, 0.25)
-        seeds = _basin_seeds(f, 21, 3)
+        seeds = _basin_seeds(f, 21)
         assert np.array_equal(seeds, np.arange(21 ** 3))
-        assert np.array_equal(seeds, basin_seeds_reference(f, 21, 3))
+        assert np.array_equal(seeds, basin_seeds_reference(f, 21))
 
     def test_ties_straddling_the_last_best_point(self):
         # 5 isolated low points, each flanked along the last axis by two
@@ -244,50 +249,49 @@ class TestBasinSeeds:
         f[low] = 0.1 * np.arange(1, 6)
         ties = np.sort(np.concatenate([low - 1, low + 1]))
         f[ties] = 1.0
-        seeds = _basin_seeds(f, 21, 3)
-        assert np.array_equal(seeds, basin_seeds_reference(f, 21, 3))
+        seeds = _basin_seeds(f, 21)
+        assert np.array_equal(seeds, basin_seeds_reference(f, 21))
         assert np.isin(low, seeds).all()
         assert np.array_equal(ties[np.isin(ties, seeds)], ties[:3])
 
 
 class TestSearchGrid:
     def test_arrays_are_read_only_and_survive_minimize(self, reference_models):
-        grid, design = _search_grid(3)
+        grid, design = _search_grid()
         before = grid.copy(), design.copy()
         assert not grid.flags.writeable
         assert not design.flags.writeable
         minimize(ObjectiveSpec(models=reference_models))
         minimize(ObjectiveSpec(models=random_models(np.random.default_rng(48))))
-        assert _search_grid(3)[0] is grid
-        assert _search_grid(3)[1] is design
+        assert _search_grid()[0] is grid
+        assert _search_grid()[1] is design
         assert np.array_equal(grid, before[0])
         assert np.array_equal(design, before[1])
 
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
-    def test_cached_design_is_the_model_matrix(self, n_factors):
-        grid, design = _search_grid(n_factors)
-        assert grid.shape == (21 ** n_factors, n_factors)
+    def test_cached_design_is_the_model_matrix(self):
+        grid, design = _search_grid()
+        assert grid.shape == (21 ** 3, 3)
         assert np.array_equal(design, model_matrix(grid))
         assert design.dtype == np.float64 and design.flags.c_contiguous
         assert not design.flags.writeable
         with pytest.raises(ValueError):
             design[0, 0] = 2.0
 
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
-    def test_grid_scores_equal_the_model_matrix_reference(self, n_factors,
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
+    def test_grid_scores_equal_the_model_matrix_reference(self, n_active,
                                                            monkeypatch):
         # the F that minimize hands to its basin search, bit for bit
         scored = []
 
-        def record(f_grid, per_axis, n):
+        def record(f_grid, per_axis):
             scored.append(f_grid.copy())
-            return _basin_seeds(f_grid, per_axis, n)
+            return _basin_seeds(f_grid, per_axis)
 
         monkeypatch.setattr(optimizer, "_basin_seeds", record)
         rng = np.random.default_rng(49)
-        grid = _search_grid(n_factors)[0]
+        grid = _search_grid()[0]
         for _ in range(8):
-            spec = seeded_spec(rng, n_factors)
+            spec = seeded_spec(rng, n_active)
             minimize(spec)
             coef = np.column_stack([m.coefficients for m in spec.models])
             assert np.array_equal(scored.pop(), reference_f(coef, grid))
@@ -355,7 +359,7 @@ class TestMinimize:
 
     def test_predicted_values_match_models(self, reference_models):
         # the reference objective, the benchmark's seed-1 rugged pool and
-        # seeded objectives of 1, 2 and 3 factors
+        # seeded objectives of 1, 2 and 3 of the factors
         rng = np.random.default_rng(56)
         specs = [ObjectiveSpec(models=reference_models), *rugged_pool(1)]
         specs += [seeded_spec(rng, n) for n in (1, 2, 3) for _ in range(20)]
@@ -398,30 +402,30 @@ class TestMinimize:
                 assert np.linalg.eigvalsh(h[0][np.ix_(inner, inner)]).min() >= -1e-8
 
     def test_grid_seed_beside_a_strict_saddle_reaches_the_oracle_basin(self):
-        # F = (10 X1^2 - 0.9 X1 - 0.09)^2 + 1e-4 (1 + X2)^2 vanishes at
-        # X1 = -0.06 and X1 = 0.15 on the face X2 = -1, and has a strict saddle
-        # between them at (0.045, -1), where d2F/dX1^2 = -4.41. Every grid
-        # seed lies in the column X1 = 0.1, inside the strip
-        # |X1 - 0.045| < 0.105 / sqrt(3) where F is concave along X1; a Newton
-        # step on the unmodified Hessian points back at the saddle from there.
+        # F = (10 X1^2 - 0.9 X1 - 0.09)^2 + 1e-4 (1 + X2)^2 does not depend
+        # on X3. It vanishes at X1 = -0.06 and X1 = 0.15 on the face X2 = -1,
+        # and has a strict saddle line between them at (0.045, -1, X3), where
+        # d2F/dX1^2 = -4.41. Every grid seed lies in the plane X1 = 0.1,
+        # inside the slab |X1 - 0.045| < 0.105 / sqrt(3) where F is concave
+        # along X1; a Newton step on the unmodified Hessian points back at
+        # the saddle from there.
         spec = ObjectiveSpec(models=(
-            QuadraticModel("Y", ("X1", "X2"),
-                           np.array([-0.09, -0.9, 0.0, 0.0, 10.0, 0.0]), 0.0, 0.0),
-            QuadraticModel("Y", ("X1", "X2"),
-                           np.array([0.01, 0.0, 0.01, 0.0, 0.0, 0.0]), 0.0, 0.0)))
-        grid, design = _search_grid(2)
-        seeds = grid[_basin_seeds(_f(design @ stacked_coefficients(spec)), 21, 2)]
+            model_from_terms(**{"1": -0.09, "X1": -0.9, "X1^2": 10.0}),
+            model_from_terms(**{"1": 0.01, "X2": 0.01})))
+        grid, design = _search_grid()
+        seeds = grid[_basin_seeds(_f(design @ stacked_coefficients(spec)), 21)]
         assert np.allclose(seeds[:, 0], 0.1)
         _, h = objective_derivatives(spec, seeds)
         assert np.all(h[:, 0, 0] < 0.0)
-        saddle = np.array([[0.045, -1.0]])
+        saddle = np.array([[0.045, -1.0, 0.3]])
         g, h = objective_derivatives(spec, saddle)
         assert np.abs(g).max() <= 1e-15 and h[0, 0, 0] == pytest.approx(-4.41)
         opt = minimize(spec)
         oracle_point, oracle_f = grid_oracle(spec, 41)
-        assert np.allclose(oracle_point, [0.15, -1.0], atol=1e-12)
+        # F ties along X3, so both break the tie at its smallest value
+        assert np.allclose(oracle_point, [0.15, -1.0, -1.0], atol=1e-12)
         assert opt.f_value <= oracle_f + 1e-12
-        assert np.allclose(opt.point, [0.15, -1.0], atol=1e-9)
+        assert np.allclose(opt.point, [0.15, -1.0, -1.0], atol=1e-9)
 
     def test_nonfinite_objective_raises(self):
         spec = ObjectiveSpec(models=(model_from_terms(X1=1e200),))
@@ -459,26 +463,28 @@ class TestGridOracle:
             tracemalloc.stop()
         assert peak <= 1 * 2 ** 20
 
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
-    def test_slab_scan_matches_dense_scan(self, n_factors):
-        rng = np.random.default_rng(52 + n_factors)
+    @pytest.mark.parametrize("n_active", [1, 2, 3])
+    def test_slab_scan_matches_dense_scan(self, n_active):
+        # below 3 active factors, F ties along the others
+        rng = np.random.default_rng(52 + n_active)
         for _ in range(16):
-            spec = seeded_spec(rng, n_factors)
+            spec = seeded_spec(rng, n_active)
             for resolution in (3, 20, 41):
                 point, value = grid_oracle(spec, resolution)
                 want_point, want_value = dense_grid_argmin(spec, resolution)
                 assert np.array_equal(point, want_point)
                 assert value == want_value
 
-    @pytest.mark.parametrize("n_factors", [1, 2, 3])
-    def test_ties_return_the_first_grid_point(self, n_factors):
-        names = tuple(f"X{k + 1}" for k in range(n_factors))
-        zero = ObjectiveSpec(models=(QuadraticModel(
-            "Y", names, np.zeros(len(term_names(names))), 0.0, 0.0),))
-        point, value = grid_oracle(zero, 7)
-        assert np.array_equal(point, [-1.0] * n_factors)
+    @pytest.mark.parametrize("n_flat", [1, 2, 3])
+    def test_ties_return_the_first_grid_point(self, n_flat):
+        # F = sum of X_k^2 over the first 3 - n_flat factors is 0 at 0 there,
+        # whatever the last n_flat factors, so its grid minima tie
+        spec = ObjectiveSpec(models=(model_from_terms(), *[
+            model_from_terms(**{name: 1.0}) for name in ("X1", "X2")[:3 - n_flat]]))
+        point, value = grid_oracle(spec, 7)
+        assert np.array_equal(point, [0.0] * (3 - n_flat) + [-1.0] * n_flat)
         assert value == 0.0
-        assert np.array_equal(point, dense_grid_argmin(zero, 7)[0])
+        assert np.array_equal(point, dense_grid_argmin(spec, 7)[0])
 
 
 class TestObjectiveSpec:
@@ -487,6 +493,7 @@ class TestObjectiveSpec:
             ObjectiveSpec(models=())
 
     def test_factor_count_consistency(self):
-        two = QuadraticModel("Y", ("X1", "X2"), np.zeros(6), 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            ObjectiveSpec(models=(model_from_terms(), two))
+        # every model is over three factors, so no objective mixes counts
+        with pytest.raises(ValidationError, match="three factors"):
+            ObjectiveSpec(models=(model_from_terms(), QuadraticModel(
+                "Y", ("X1", "X2"), np.zeros(6), 0.0, 0.0)))

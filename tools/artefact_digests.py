@@ -14,7 +14,11 @@ Hashed, each in a fresh temporary directory:
   stage timestamp (`"YYYY-MM-DDTHH:MM:SS+00:00"`) reads as a fixed
   placeholder;
 * the exit code and stdout of `earforge decompose` on each of the 48
-  perfbench `metrology_rims` (seed 5).
+  perfbench `metrology_rims` (seed 5);
+* `minimize` and `grid_oracle(spec, 41)` on the 256 objectives of
+  perfbench's optimize-rugged pool (`rugged_models`, seed 1), one digest per
+  32 objectives: each optimum's point, F, predicted values and convergence
+  report, and the oracle's point and F.
 
 The output is sorted JSON, one `"name": "sha256"` pair per line. It is not
 part of the test suite and takes a few seconds.
@@ -127,6 +131,25 @@ def decompose_digest(path: Path) -> str:
     return sha256(f"exit {code}\n{stdout.getvalue()}".encode())
 
 
+def rugged_digests() -> dict:
+    rng = np.random.default_rng(1)
+    specs = [ef.ObjectiveSpec(models=INPUTS["rugged_models"](rng, ef))
+             for _ in range(256)]
+    out = {}
+    for first in range(0, len(specs), 32):
+        h = hashlib.sha256()
+        for spec in specs[first:first + 32]:
+            opt = ef.minimize(spec)
+            point, value = ef.grid_oracle(spec, 41)
+            r = opt.report
+            for data in (opt.point, opt.predicted, point):
+                h.update(np.ascontiguousarray(data, dtype=float).tobytes())
+            h.update(repr((opt.f_value, r.starts, r.iterations,
+                           r.gradient_norm, value)).encode())
+        out[f"rugged/{first:03d}-{first + 31:03d}"] = h.hexdigest()
+    return out
+
+
 def main() -> None:
     print(json.dumps({"machine": machine_facts()}, sort_keys=True),
           file=sys.stderr)
@@ -145,6 +168,7 @@ def main() -> None:
                                         tmp / "rims", 48)
         for rim in rims:
             digests[f"decompose/{rim.path.name}"] = decompose_digest(rim.path)
+    digests.update(rugged_digests())
     print(json.dumps(digests, indent=0, sort_keys=True))
 
 

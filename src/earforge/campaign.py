@@ -25,7 +25,7 @@ import math
 import os
 import types
 import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -345,8 +345,9 @@ def _model_fields(response: str, entry: dict) -> dict:
 
 def _check_layout(state: CampaignState) -> None:
     """Each per-mode section holds N_MODES entries, each run record is its
-    design point as simulate recorded it, and each rim file is where its
-    stage put it, inside the campaign."""
+    design point as simulate recorded it, the optimum's physical blank is its
+    point as optimize mapped it, and each rim file is where its stage put it,
+    inside the campaign."""
     cfg, v, design = state.config, state.verification, state.design
     sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
     sized += [("models", state.models),
@@ -370,6 +371,10 @@ def _check_layout(state: CampaignState) -> None:
                                   ("normalized", tuple(points[i])),
                                   ("blank", tuple(blanks[i])),
                                   ("profile_file", RUN_RIM.format(i + 1)))]
+    opt = state.optimum
+    if opt is not None:
+        pinned.append(("optimum.physical", tuple(opt.physical.tolist()),
+                       tuple(to_physical(cfg.space, opt.point).tolist())))
     pinned += [(f"verification.{k}", getattr(v, k, want), want) for k, want
                in (("baseline_file", BASELINE_RIM), ("optimum_file", OPTIMUM_RIM))]
     for where, got, want in pinned:
@@ -514,7 +519,6 @@ def simulate_campaign(state: CampaignState, campaign_dir,
     campaign_dir = Path(campaign_dir)
     (campaign_dir / RUNS_DIR).mkdir(parents=True, exist_ok=True)
     cfg = state.config
-    basis = modal.build_modal_basis()
     physical = to_physical(cfg.space, state.design.points)
     records = []
     for i, (point, role, phys) in enumerate(
@@ -531,7 +535,7 @@ def simulate_campaign(state: CampaignState, campaign_dir,
             provenance = f"ingested:{src.name}"
         rel = RUN_RIM.format(i)
         sha256 = _write_profile(campaign_dir, rel, profile)
-        coords = modal.decompose(profile, cfg.target_height, basis)
+        coords = modal.decompose(profile, cfg.target_height)
         records.append(RunRecord(
             run=i, role=role, normalized=tuple(point.tolist()),
             blank=(blank.diameter, blank.a1, blank.a2), profile_file=rel,
@@ -559,19 +563,19 @@ def fit_campaign(state: CampaignState, campaign_dir) -> CampaignState:
 def optimize_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     """Minimize the summed squared modal coordinates; writes optimum.json."""
     _require_stage(state, "fitted", "optimize")
-    spec = ObjectiveSpec(models=tuple(state.models))
-    state.optimum = minimize(spec, space=state.config.space)
+    space = state.config.space
+    opt = minimize(ObjectiveSpec(models=tuple(state.models)))
+    state.optimum = replace(opt, physical=to_physical(space, opt.point))
     _write_json(Path(campaign_dir) / OPTIMUM_FILE,
-                _optimum_to_dict(state.optimum, state.config.space))
+                _optimum_to_dict(state.optimum, space))
     return _complete(state, campaign_dir, "optimized")
 
 
 def _verified_numbers(baseline: ContourProfile, optimum: ContourProfile,
                       target_height: float) -> dict:
     """The VerificationRecord fields that follow from the two rims' heights."""
-    basis = modal.build_modal_basis()
-    base_coords = modal.decompose(baseline, target_height, basis)
-    opt_coords = modal.decompose(optimum, target_height, basis)
+    base_coords = modal.decompose(baseline, target_height)
+    opt_coords = modal.decompose(optimum, target_height)
     base_amp = geometry.ear_amplitude(baseline)
     opt_amp = geometry.ear_amplitude(optimum)
     if base_amp <= _AMPLITUDE_EPS:
@@ -615,13 +619,6 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
 
 # ---------------------------------------------------------------------------
 # reporting
-
-def _center_run(state: CampaignState) -> RunRecord:
-    for r in state.runs:
-        if r.role == ROLE_CENTER:
-            return r
-    raise StateIntegrityError("campaign has no center run")
-
 
 def _rim_from_file(campaign_dir: Path, rel: str) -> ContourProfile:
     header, rows = geometry.read_rim_csv(campaign_dir / rel)
@@ -672,7 +669,7 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
         (out_dir / name).write_text(text, encoding="utf-8")
         written.append(f"{REPORTS_DIR}/{name}")
 
-    center = _center_run(state)
+    center = state.runs[state.design.roles.index(ROLE_CENTER)]
     emit("deviation_polar.svg", report.polar_deviation_svg(
         THETA, _rim_from_file(campaign_dir, center.profile_file).height
         - cfg.target_height,

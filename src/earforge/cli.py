@@ -67,7 +67,7 @@ def _campaign_dir(args) -> Path:
 
 def _cmd_decompose(args) -> int:
     profile = plant.ingest_profile(args.profile)
-    coords = modal.decompose(profile, args.target, modal.build_modal_basis())
+    coords = modal.decompose(profile, args.target)
     text = modal.coordinates_text(coords)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8", newline="\n")
@@ -123,8 +123,6 @@ def _dispatch(args) -> int:
                 print(f"wrote {campaign_dir / rel}")
             for rel, needs in skipped:
                 print(f"skipped {rel} (needs {needs} stage)")
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValidationError(f"unknown command {args.command!r}")
     return EXIT_OK
 
 

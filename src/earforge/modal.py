@@ -106,8 +106,8 @@ class ModalCoordinates:
     residue: float       # |V - sum(lambda_i Q_i)|_inf / |V|_inf, dimensionless
 
 
-def project(values: np.ndarray, basis: ModalBasis) -> ModalCoordinates:
-    """Project a deviation vector onto every basis shape.
+def project(values: np.ndarray) -> ModalCoordinates:
+    """Project a deviation vector onto every shape of the shared modal basis.
 
     The coordinates are the least-squares fit of `values` on the mode set,
     which coincides with the mode-wise vectorial projection whenever the
@@ -115,13 +115,13 @@ def project(values: np.ndarray, basis: ModalBasis) -> ModalCoordinates:
     exactly. The residue is the relative infinity-norm of the remainder
     (0 for a zero input vector).
     """
+    q = build_modal_basis().modes
     v = np.asarray(values, dtype=float)
-    if v.shape != basis.modes.shape[:1]:
+    if v.shape != q.shape[:1]:
         raise ValidationError(f"deviation vector length {v.size} != basis "
-                              f"node count {basis.modes.shape[0]}")
+                              f"node count {q.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("deviation vector entries must be finite")
-    q = basis.modes
     lambdas, *_ = np.linalg.lstsq(q, v, rcond=None)
     norm_v = float(np.max(np.abs(v)))
     if norm_v == 0.0:
@@ -131,14 +131,14 @@ def project(values: np.ndarray, basis: ModalBasis) -> ModalCoordinates:
     return ModalCoordinates(lambdas=lambdas, residue=residue)
 
 
-def decompose(profile: geometry.ContourProfile, target_height: float,
-              basis: ModalBasis) -> ModalCoordinates:
+def decompose(profile: geometry.ContourProfile,
+              target_height: float) -> ModalCoordinates:
     """Modal coordinates of a rim profile's deviation from target_height.
 
     The profile's quarter deviation vector (geometry.deviation_vector at the
-    basis nodes) is projected onto every mode of the basis.
+    basis nodes) is projected onto every mode of the shared basis.
     """
-    return project(geometry.deviation_vector(profile, target_height), basis)
+    return project(geometry.deviation_vector(profile, target_height))
 
 
 def coordinates_text(coords: ModalCoordinates) -> str:

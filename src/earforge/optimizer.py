@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doe import FactorSpace, to_physical
 from .errors import NumericError, ValidationError
 from .rsm import QuadraticModel, _tensor_form, model_matrix
 
@@ -61,7 +60,7 @@ class Optimum:
     f_value: float
     predicted: np.ndarray         # model values L_i at the optimum
     report: ConvergenceReport
-    physical: np.ndarray | None = None  # physical coordinates when a space is given
+    physical: np.ndarray | None = None  # physical coordinates, set by the campaign
 
 
 def _f(l: np.ndarray) -> np.ndarray:
@@ -165,7 +164,7 @@ def _basin_seeds(f_grid: np.ndarray, per_axis: int) -> np.ndarray:
     return np.flatnonzero(keep)
 
 
-def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
+def minimize(spec: ObjectiveSpec) -> Optimum:
     """Multi-start projected Newton descent over the cube [-1, 1].
 
     Scores F on a uniform grid (21 points per factor), polishes the grid's
@@ -261,9 +260,8 @@ def minimize(spec: ObjectiveSpec, space: FactorSpace | None = None) -> Optimum:
         iterations=accepted_steps,
         gradient_norm=float(_projected_gradient_norm(point[None, :], g_win)[0]),
     )
-    physical = to_physical(space, point) if space is not None else None
     return Optimum(point=point, f_value=float(f_cur[winner]),
-                   predicted=predicted, report=report, physical=physical)
+                   predicted=predicted, report=report)
 
 
 def grid_oracle(spec: ObjectiveSpec, resolution: int) -> tuple[np.ndarray, float]:

@@ -331,22 +331,26 @@ class TestStatePersistence:
 
     def test_cli_and_library_agree(self, tmp_path):
         # a stage that reloads the state must compute from it the bits the
-        # in-process run computes, on a config other than the default
+        # in-process run computes, on a config other than the default: every
+        # file is byte-identical, stage timestamps aside
         config = dataclasses.replace(cp.default_config(), target_height=34.5)
         cp.init_campaign(tmp_path / "cli", config)
         run_pipeline(tmp_path / "cli", "design", "simulate", "fit",
-                     "optimize", "verify")
+                     "optimize", "verify", "report")
         state = cp.init_campaign(tmp_path / "lib", config)
         for stage in (cp.design_campaign, cp.simulate_campaign,
                       cp.fit_campaign, cp.optimize_campaign,
                       cp.verify_campaign):
             state = stage(state, tmp_path / "lib")
-        docs = []
-        for name in ("cli", "lib"):
-            doc = json.loads((tmp_path / name / "campaign.json").read_text())
-            del doc["timestamps"]
-            docs.append(doc)
-        assert docs[0] == docs[1]
+        cp.report_campaign(state, tmp_path / "lib")
+        stamp = re.compile(rb'"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\+00:00"')
+        files = []
+        for d in (tmp_path / "cli", tmp_path / "lib"):
+            files.append({p.relative_to(d).as_posix():
+                          stamp.sub(b'"<timestamp>"', p.read_bytes())
+                          for p in sorted(d.rglob("*")) if p.is_file()})
+        assert "reports/summary.txt" in files[0]
+        assert files[0] == files[1]
         assert [m.response for m in cp.load_state(tmp_path / "cli").models] \
             == ["L1", "L2", "L3", "L4", "L5"]
 
@@ -555,9 +559,9 @@ class TestMalformedState:
         assert not (d / "runs").exists()
 
     def test_config_check_solves_no_basis(self, tmp_path, monkeypatch):
-        # only the stages that decompose a rim ask for the modal basis:
-        # simulate and verify, and report, which re-derives the verified
-        # numbers from the verified rims
+        # only the stages that decompose a rim ask for the modal basis, once
+        # per projection: simulate and verify, and report, which re-derives
+        # the verified numbers from the verified rims
         calls, build = [], modal.build_modal_basis
         monkeypatch.setattr(modal, "build_modal_basis",
                             lambda: calls.append(stage) or build())
@@ -566,7 +570,7 @@ class TestMalformedState:
         for stage in ("init", "design", "simulate", "fit", "optimize",
                       "verify", "report"):
             run_pipeline(tmp_path / "camp", stage)
-        assert calls == ["simulate", "verify", "report"]
+        assert list(dict.fromkeys(calls)) == ["simulate", "verify", "report"]
 
     def test_optimum_f_value_is_checked(self, tmp_path, capsys):
         d = tmp_path / "camp"
@@ -605,6 +609,9 @@ class TestMalformedState:
          "Optimum.point[0] must be float, got '0.1'"),
         ("verify", _put("optimum", "physical", "D", value="117"),
          "Optimum.physical[0] must be float, got '117'"),
+        # the physical blank is the optimum's point, mapped as optimize did
+        ("verify", _put("optimum", "physical", "D", value=118.4),
+         "optimum.physical must be (116.97"),
         ("verify", _drop("optimum", "predicted", "L5"),
          "optimum.predicted holds 4 entries, not n_modes = 5"),
         ("report", _put("verification", "optimum_lambdas", value=[0.1, 0.2]),
@@ -644,7 +651,7 @@ class TestMalformedState:
             "run-has-2-lambdas", "coefficient-is-str", "residual-rms-is-bool",
             "no-model-L5", "model-factors", "model-four-factors",
             "optimum-point-is-str",
-            "optimum-physical-is-str", "no-predicted-L5",
+            "optimum-physical-is-str", "optimum-physical", "no-predicted-L5",
             "verified-has-2-lambdas", "baseline-has-1-lambda",
             "design-point-is-nan", "run-lambda-is-nan",
             "coefficient-is-inf", "verified-lambda-is-inf", "run-number",

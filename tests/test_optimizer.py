@@ -9,6 +9,7 @@ import pytest
 
 import earforge
 from earforge import optimizer
+from earforge.doe import to_physical
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
                                 _derivatives, _f, _search_grid, grid_oracle,
@@ -117,10 +118,9 @@ class TestObjective:
         assert objective_f(spec, np.array([0.5, 0.0, 0.0])) == pytest.approx(0.25)
 
     def test_reference_optimum_dominates_design_points(self, reference_models,
-                                                       default_design,
-                                                       default_space):
+                                                       default_design):
         spec = ObjectiveSpec(models=reference_models)
-        opt = minimize(spec, space=default_space)
+        opt = minimize(spec)
         design_f = [objective_f(spec, p) for p in default_design.points]
         assert all(opt.f_value <= f for f in design_f)
 
@@ -128,11 +128,11 @@ class TestObjective:
                                                 default_space):
         # frozen from an independent grid-plus-polish solve of the fitted
         # reference-campaign objective
-        opt = minimize(ObjectiveSpec(models=reference_models),
-                       space=default_space)
-        assert opt.physical[0] == pytest.approx(116.7554, abs=1e-3)
-        assert opt.physical[1] == pytest.approx(0.4514, abs=1e-3)
-        assert opt.physical[2] == pytest.approx(-0.3368, abs=1e-3)
+        opt = minimize(ObjectiveSpec(models=reference_models))
+        physical = to_physical(default_space, opt.point)
+        assert physical[0] == pytest.approx(116.7554, abs=1e-3)
+        assert physical[1] == pytest.approx(0.4514, abs=1e-3)
+        assert physical[2] == pytest.approx(-0.3368, abs=1e-3)
         assert opt.f_value == pytest.approx(0.0131311, abs=1e-6)
 
     @pytest.mark.parametrize("n_active, bounds", [
@@ -315,9 +315,10 @@ class TestMinimize:
 
     def test_one_dimensional_affine_closed_form(self, default_space):
         spec = ObjectiveSpec(models=(model_from_terms(**{"1": -0.882, "X3": 1.08}),))
-        opt = minimize(spec, space=default_space)
+        opt = minimize(spec)
         assert opt.point[2] == pytest.approx(0.882 / 1.08, abs=1e-7)
-        assert opt.physical[2] == pytest.approx(1.225, abs=1e-6)
+        assert to_physical(default_space, opt.point)[2] == pytest.approx(
+            1.225, abs=1e-6)
 
     def test_never_loses_to_grid_oracle(self):
         rng = np.random.default_rng(43)

@@ -10,7 +10,7 @@ from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
 from earforge.geometry import (THETA, BlankSpec, ContourProfile,
                                deviation_vector, ear_amplitude, quarter_nodes,
                                read_rim_csv, write_contour_csv)
-from earforge.modal import (analytic_mode, build_modal_basis, decompose,
+from earforge.modal import (analytic_mode, decompose,
                             project)
 from earforge.plant import (DC05, MaterialAnisotropy, SurrogateParams,
                             ingest_profile, simulate)
@@ -191,9 +191,8 @@ class TestIngestProfile:
                              height.tolist()))
         polar = rim_file(tmp_path / "polar.csv", ("theta_rad", "value_mm"),
                          zip(theta.tolist(), height.tolist()))
-        basis = build_modal_basis()
-        got = decompose(ingest_profile(cloud), 35.0, basis)
-        want = decompose(ingest_profile(polar), 35.0, basis)
+        got = decompose(ingest_profile(cloud), 35.0)
+        want = decompose(ingest_profile(polar), 35.0)
         assert want.lambdas[2] == pytest.approx(0.5, abs=2e-3)
         assert np.max(np.abs(got.lambdas - want.lambdas)) <= 1e-9
         assert got.residue == pytest.approx(want.residue, abs=1e-9)
@@ -285,13 +284,12 @@ class TestRunDesign:
 
     def test_two_lobe_response_is_affine_in_a1(self, default_space):
         params = SurrogateParams()
-        basis = build_modal_basis()
         values = []
         a1_levels = (-1.5, 0.0, 1.5)
         for a1 in a1_levels:
             profile = simulate(BlankSpec(117.0, a1=a1), DC05, params)
             dev = deviation_vector(profile, 35.0)
-            values.append(project(dev, basis).lambdas[1])
+            values.append(project(dev).lambdas[1])
         slope_lo = (values[1] - values[0]) / 1.5
         slope_hi = (values[2] - values[1]) / 1.5
         assert slope_hi == pytest.approx(slope_lo, rel=1e-9)
@@ -299,11 +297,10 @@ class TestRunDesign:
 
     def test_flat_rims_have_zero_shape_coordinates(self):
         params = SurrogateParams(c8=0.0)
-        basis = build_modal_basis()
         for d in (115.5, 116.63, 118.5):
             profile = simulate(BlankSpec(d), ISOTROPIC, params)
             dev = deviation_vector(profile, 35.0)
-            lam = project(dev, basis).lambdas
+            lam = project(dev).lambdas
             assert np.max(np.abs(lam[1:])) <= 1e-12
 
     def test_dominant_defect_is_four_lobe(self, simulated):

@@ -1,6 +1,6 @@
 """README's library example runs as written: it guards the public signatures
-it calls (`build_modal_basis`, `decompose`, the campaign stages). Its shell
-examples name exactly the CLI's subcommands and long options."""
+it calls (`decompose`, the campaign stages). Its shell examples name exactly
+the CLI's subcommands and long options."""
 
 import argparse
 import re

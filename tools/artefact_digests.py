@@ -10,6 +10,9 @@ Hashed, each in a fresh temporary directory:
 * every file of six full campaigns (init through report): the default
   config, four perfbench `campaign_configs` (seed 7), and the default config
   on perfbench's `campaign_exports` (seed 9) through `simulate --ingest-dir`.
+  The first five run in process; the ingested one runs through `cli_main`,
+  one call per stage, so each stage loads, checks and saves the state as a
+  CLI campaign does.
   `campaign.json` is hashed as written, byte for byte, except that each
   stage timestamp (`"YYYY-MM-DDTHH:MM:SS+00:00"`) reads as a fixed
   placeholder;
@@ -104,13 +107,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_campaign(d: Path, config=None, ingest_dir=None) -> None:
+def run_campaign(d: Path, config=None) -> None:
     state = cp.init_campaign(d, config)
-    state = cp.design_campaign(state, d)
-    state = cp.simulate_campaign(state, d, ingest_dir=ingest_dir)
-    for stage in (cp.fit_campaign, cp.optimize_campaign, cp.verify_campaign):
+    for stage in (cp.design_campaign, cp.simulate_campaign, cp.fit_campaign,
+                  cp.optimize_campaign, cp.verify_campaign):
         state = stage(state, d)
     cp.report_campaign(state, d)
+
+
+def run_cli_campaign(d: Path, ingest_dir: Path) -> None:
+    stages = (["init"], ["design"], ["simulate", "--ingest-dir", str(ingest_dir)],
+              ["fit"], ["optimize"], ["verify"], ["report"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for stage in stages:
+            code = cli_main(["--campaign", str(d), *stage])
+            if code != 0:
+                raise SystemExit(f"{d.name}: `{stage[0]}` exited {code}")
 
 
 def campaign_digests(name: str, d: Path) -> dict:
@@ -156,14 +168,15 @@ def main() -> None:
     digests = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        campaigns = [("default", None, None)]
+        campaigns = [("default", None)]
         configs = INPUTS["campaign_configs"](np.random.default_rng(7), ef, 4)
-        campaigns += [(f"config_{i}", c, None) for i, c in enumerate(configs)]
+        campaigns += [(f"config_{i}", c) for i, c in enumerate(configs)]
         INPUTS["campaign_exports"](np.random.default_rng(9), tmp / "exports")
-        campaigns.append(("ingested", None, tmp / "exports"))
-        for name, config, ingest_dir in campaigns:
-            run_campaign(tmp / name, config, ingest_dir)
+        for name, config in campaigns:
+            run_campaign(tmp / name, config)
             digests.update(campaign_digests(name, tmp / name))
+        run_cli_campaign(tmp / "ingested", tmp / "exports")
+        digests.update(campaign_digests("ingested", tmp / "ingested"))
         rims = INPUTS["metrology_rims"](np.random.default_rng(5),
                                         tmp / "rims", 48)
         for rim in rims:

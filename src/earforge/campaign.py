@@ -231,11 +231,10 @@ _hints = functools.cache(typing.get_type_hints)
 
 
 @functools.cache
-def _plan(cls) -> tuple[tuple[str, object, str, bool], ...]:
-    """Each field of dataclass `cls` as (name, annotation, where, scalar), in
-    field order: `where` names it in errors, and a scalar field (int, float
-    or str) is encoded and checked in place, without recursing."""
-    return tuple((name, t, f"{cls.__name__}.{name}", t in _ACCEPTS)
+def _plan(cls) -> tuple[tuple[str, object, str], ...]:
+    """Each field of dataclass `cls` as (name, annotation, where), in field
+    order: `where` names it in errors."""
+    return tuple((name, t, f"{cls.__name__}.{name}")
                  for name, t in _hints(cls).items())
 
 
@@ -259,9 +258,8 @@ def _encode(value):
     if isinstance(value, dict):
         return dict(value)
     if is_dataclass(value):
-        return {name: getattr(value, name) if scalar
-                else _encode(getattr(value, name))
-                for name, _, _, scalar in _plan(type(value))}
+        return {name: _encode(getattr(value, name))
+                for name, *_ in _plan(type(value))}
     return value
 
 
@@ -282,16 +280,8 @@ def _decode(annotation, value, where: str):
             raise TypeError(f"{where} must be an object, got {value!r}")
         if annotation is dict:
             return dict(value)
-        kwargs = {}
-        for name, t, at, scalar in _plan(annotation):
-            v = value[name]
-            # a scalar of its exact type, and finite if a float, is read
-            # as is; any other goes through the checks above
-            if not scalar or type(v) is not t or (
-                    t is float and not math.isfinite(v)):
-                v = _decode(t, v, at)
-            kwargs[name] = v
-        return annotation(**kwargs)
+        return annotation(**{name: _decode(t, value[name], at)
+                             for name, t, at in _plan(annotation)})
     if annotation is np.ndarray:  # 1-D, or 2-D as a list of rows
         rows = isinstance(value, list) and value and isinstance(value[0], list)
         return np.array(_decode(list[list[float]] if rows else list[float],
@@ -301,10 +291,6 @@ def _decode(annotation, value, where: str):
     if origin is list and len(args) == 1 or origin is tuple and args[1:] == (...,):
         if not isinstance(value, list):
             raise TypeError(f"{where} must be a list, got {value!r}")
-        # a list of one scalar type, finite if float, is read as it is
-        if args[0] in _ACCEPTS and {*map(type, value)} <= {args[0]} and (
-                args[0] is not float or all(map(math.isfinite, value))):
-            return origin(value)
         return origin(_decode(args[0], v, f"{where}[{i}]")
                       for i, v in enumerate(value))
     raise NotImplementedError(f"{where}: no decoder for {annotation!r}")
@@ -345,9 +331,9 @@ def _model_fields(response: str, entry: dict) -> dict:
 
 def _check_layout(state: CampaignState) -> None:
     """Each per-mode section holds N_MODES entries, each run record is its
-    design point as simulate recorded it, the optimum's physical blank is its
-    point as optimize mapped it, and each rim file is where its stage put it,
-    inside the campaign."""
+    design point as simulate recorded it, the optimum's point is on the factor
+    cube and its physical blank is that point as optimize mapped it, and each
+    rim file is where its stage put it, inside the campaign."""
     cfg, v, design = state.config, state.verification, state.design
     sized = [(f"runs[{i}].lambdas", r.lambdas) for i, r in enumerate(state.runs)]
     sized += [("models", state.models),
@@ -373,6 +359,11 @@ def _check_layout(state: CampaignState) -> None:
                                   ("profile_file", RUN_RIM.format(i + 1)))]
     opt = state.optimum
     if opt is not None:
+        # minimize returns a point on the factor cube [-1, 1]^3
+        if opt.point.shape != (len(_FACTORS),) or not np.all(np.abs(opt.point) <= 1):
+            raise StateIntegrityError(
+                f"optimum.point must be {len(_FACTORS)} coordinates in [-1, 1], "
+                f"got {opt.point.tolist()!r}")
         pinned.append(("optimum.physical", tuple(opt.physical.tolist()),
                        tuple(to_physical(cfg.space, opt.point).tolist())))
     pinned += [(f"verification.{k}", getattr(v, k, want), want) for k, want
@@ -620,15 +611,6 @@ def verify_campaign(state: CampaignState, campaign_dir) -> CampaignState:
 # ---------------------------------------------------------------------------
 # reporting
 
-def _rim_from_file(campaign_dir: Path, rel: str) -> ContourProfile:
-    header, rows = geometry.read_rim_csv(campaign_dir / rel)
-    if header != geometry.POLAR_HEADER:
-        raise ValidationError(
-            f"{rel}: expected header '{','.join(geometry.POLAR_HEADER)}', "
-            f"got {list(header)}")
-    return ContourProfile(rows[:, 1])
-
-
 def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     """Write every report whose backing data exists.
 
@@ -647,7 +629,7 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     campaign_dir = Path(campaign_dir)
     cfg, v = state.config, state.verification
     if v is not None:
-        rims = [_rim_from_file(campaign_dir, rel)
+        rims = [plant.ingest_profile(campaign_dir / rel)
                 for rel in (v.baseline_file, v.optimum_file)]
         for key, want in _verified_numbers(*rims, cfg.target_height).items():
             got = getattr(v, key)
@@ -671,7 +653,7 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
 
     center = state.runs[state.design.roles.index(ROLE_CENTER)]
     emit("deviation_polar.svg", report.polar_deviation_svg(
-        THETA, _rim_from_file(campaign_dir, center.profile_file).height
+        THETA, plant.ingest_profile(campaign_dir / center.profile_file).height
         - cfg.target_height,
         f"Rim deviation, center run (target {cfg.target_height} mm)"))
 

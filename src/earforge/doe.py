@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .geometry import check_finite
 
 ROLE_FACTORIAL = "factorial"
 ROLE_CENTER = "center"
@@ -30,8 +31,7 @@ class Factor:
     def __post_init__(self):
         if not self.name:
             raise ValidationError("factor name must be non-empty")
-        if not (math.isfinite(self.center) and math.isfinite(self.half_range)):
-            raise ValidationError(f"factor {self.name}: center/half_range must be finite")
+        check_finite(self)
         if self.half_range <= 0:
             raise ValidationError(
                 f"factor {self.name}: half_range must be > 0, got {self.half_range}")

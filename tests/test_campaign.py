@@ -484,6 +484,13 @@ def _swap_run_roles(doc):
     return doc
 
 
+def _point_outside_cube(doc):
+    # D = 117 + 5 * 1.5: the physical blank still maps from the point
+    doc["optimum"]["point"][0] = 5.0
+    doc["optimum"]["physical"]["D"] = 124.5
+    return doc
+
+
 def _refused_after_edit(campaign_dir, capsys, stage, edit) -> str:
     """Run the stages before `stage`, edit campaign.json, then run `stage`:
     it must exit 2 with a message, writing nothing. Returns stderr."""
@@ -614,6 +621,11 @@ class TestMalformedState:
          "optimum.physical must be (116.97"),
         ("verify", _drop("optimum", "predicted", "L5"),
          "optimum.predicted holds 4 entries, not n_modes = 5"),
+        # minimize returns a point on the factor cube
+        ("verify", _drop("optimum", "point", 2),
+         "optimum.point must be 3 coordinates in [-1, 1], got ["),
+        ("verify", _point_outside_cube,
+         "optimum.point must be 3 coordinates in [-1, 1], got [5.0, "),
         ("report", _put("verification", "optimum_lambdas", value=[0.1, 0.2]),
          "verification.optimum_lambdas holds 2 entries, not n_modes = 5"),
         ("report", _put("verification", "baseline_lambdas", value=[0.1]),
@@ -652,6 +664,7 @@ class TestMalformedState:
             "no-model-L5", "model-factors", "model-four-factors",
             "optimum-point-is-str",
             "optimum-physical-is-str", "optimum-physical", "no-predicted-L5",
+            "optimum-point-short", "optimum-point-outside",
             "verified-has-2-lambdas", "baseline-has-1-lambda",
             "design-point-is-nan", "run-lambda-is-nan",
             "coefficient-is-inf", "verified-lambda-is-inf", "run-number",
@@ -1065,8 +1078,8 @@ class TestReports:
         assert "reduction" in summary.lower()
 
     def test_point_cloud_rim_is_refused(self, tmp_path, capsys):
-        # a run file swapped for a point cloud, its hash updated to match:
-        # the report plots polar rims only
+        # a run file swapped for a one-point cloud, its hash updated to
+        # match: the report reads rims as ingest does, which needs 8 points
         d = tmp_path / "camp"
         run_pipeline(d, "init", "design", "simulate")
         cloud = b"x_mm,y_mm,z_mm\n1,2,3\n"
@@ -1077,7 +1090,7 @@ class TestReports:
         capsys.readouterr()
         assert cli_main(["--campaign", str(d), "report"]) == 2
         err = capsys.readouterr().err
-        assert "runs/run_09.csv: expected header 'theta_rad,value_mm'" in err
+        assert "runs/run_09.csv: need at least 8 points, got 1" in err
 
     @pytest.mark.parametrize("keys, value", [
         (("reduction_factor",), 99.0),

@@ -84,6 +84,14 @@ class TestFactorValidation:
         with pytest.raises(ValidationError):
             Factor("D", 117.0, 0.0)
 
+    @pytest.mark.parametrize("center, half_range, message", [
+        (math.nan, 1.5, "Factor.center must be finite, got nan"),
+        (117.0, math.inf, "Factor.half_range must be finite, got inf"),
+    ], ids=["center-nan", "half-range-inf"])
+    def test_non_finite_refused(self, center, half_range, message):
+        with pytest.raises(ValidationError, match=message):
+            Factor("D", center, half_range)
+
     def test_alpha_at_least_one(self):
         factors = default_factor_space().factors
         for alpha in (0.9, math.nan, math.inf):

@@ -87,6 +87,17 @@ class TestIngestProfile:
         assert np.max(np.abs(back.height - profile.height)) <= 1e-9
         assert np.max(np.abs(back.theta - profile.theta)) <= 1e-12
 
+    def test_rim_on_the_grid_reads_back_bit_for_bit(self, tmp_path):
+        # `report` reads a campaign's rims through ingest and holds the
+        # verified numbers to them bit for bit
+        rng = np.random.default_rng(3)
+        for i in range(20):
+            height = 35.0 + rng.normal(size=144)
+            height[i] = (-0.0, 5e-324, 1e7, -1e-7)[i % 4]
+            path = tmp_path / f"rim_{i}.csv"
+            write_contour_csv(path, ContourProfile(height))
+            assert ingest_profile(path).height.tobytes() == height.tobytes()
+
     def test_constant_profile(self, tmp_path):
         path = tmp_path / "flat.csv"
         write_contour_csv(path, ContourProfile(np.full(144, 35.0)))

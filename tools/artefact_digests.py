@@ -10,7 +10,8 @@ Hashed, each in a fresh temporary directory:
 * every file of six full campaigns (init through report): the default
   config, four perfbench `campaign_configs` (seed 7), and the default config
   on perfbench's `campaign_exports` (seed 9) through `simulate --ingest-dir`.
-  The first five run in process; the ingested one runs through `cli_main`,
+  The first five run in process and end with a `load_state`/`save_state`
+  round trip of `campaign.json`; the ingested one runs through `cli_main`,
   one call per stage, so each stage loads, checks and saves the state as a
   CLI campaign does.
   `campaign.json` is hashed as written, byte for byte, except that each
@@ -113,6 +114,8 @@ def run_campaign(d: Path, config=None) -> None:
                   cp.optimize_campaign, cp.verify_campaign):
         state = stage(state, d)
     cp.report_campaign(state, d)
+    # a CLI stage loads and saves the state: the round trip must keep its bytes
+    cp.save_state(cp.load_state(d), d)
 
 
 def run_cli_campaign(d: Path, ingest_dir: Path) -> None:

@@ -2,8 +2,9 @@
 
 The quarter rim is modelled as a free-free chain of QUARTER_NODES-1 equal
 axial elements with a single degree of freedom per node. Its eigenvectors are
-discrete cosines, so the low modes read directly as size (constant), two-lobe,
-four-lobe, ... defects of the full rim.
+the discrete cosines (Strang, SIAM Review 41, 1999), taken here in closed
+form, so the low modes read directly as size (constant), two-lobe, four-lobe,
+... defects of the full rim, with the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import NumericError, ValidationError
+from .errors import ValidationError
 
 N_MODES = 5  # L1..L5: size, two-, four-, six- and eight-lobe
 _N = geometry.QUARTER_NODES  # nodes of the quarter chain
@@ -29,23 +30,11 @@ def lumped_mass_diagonal() -> np.ndarray:
     return m
 
 
-def second_difference_stiffness() -> np.ndarray:
-    """Assembled second-difference stiffness of the unit-length free-free chain."""
-    h = 1.0 / (_N - 1)
-    k = np.zeros((_N, _N))
-    for e in range(_N - 1):
-        k[e, e] += 1.0 / h
-        k[e + 1, e + 1] += 1.0 / h
-        k[e, e + 1] -= 1.0 / h
-        k[e + 1, e] -= 1.0 / h
-    return k
-
-
 @dataclass(frozen=True)
 class ModalBasis:
-    """Eigenvector set of the free-free chain, unit infinity-norm columns.
+    """Lowest eigenvectors of the free-free chain, unit infinity-norm columns.
 
-    modes[:, i] is the i-th mode shape (ascending pulsation); mode 0 is the
+    modes[:, i] is analytic_mode(i + 1) (ascending pulsation); mode 0 is the
     rigid-body constant mode. Pulsations are informational (unit material).
     """
 
@@ -63,36 +52,20 @@ def analytic_mode(k: int) -> np.ndarray:
 
 @functools.cache
 def build_modal_basis() -> ModalBasis:
-    """Solve the generalized eigenproblem (K - w^2 M) Q = 0 of the chain.
+    """The N_MODES lowest modes of the chain (K - w^2 M) Q = 0, in closed form.
 
-    Returns the N_MODES lowest-pulsation modes, each normalized to unit
-    infinity-norm with the sign fixed so the first non-zero entry is positive.
-    The mass matrix is diagonal, so the problem reduces to a standard
-    symmetric one through M^(-1/2) scaling.
+    Mode k is analytic_mode(k), an exact eigenvector of the lumped-mass,
+    second-difference chain with element length h = 1/(QUARTER_NODES-1),
+    and its pulsation is w_k = (2/h) sin((k-1) pi h/2). Each mode has unit
+    infinity-norm and a positive first entry.
 
-    The basis is solved at the first call and shared: every call returns the
+    The basis is built at the first call and shared: every call returns the
     same object, whose arrays are read-only.
     """
+    h = 1.0 / (_N - 1)
+    modes = np.column_stack([analytic_mode(k) for k in range(1, N_MODES + 1)])
+    pulsations = (2.0 / h) * np.sin(np.arange(N_MODES) * np.pi * h / 2.0)
     m = lumped_mass_diagonal()
-    k = second_difference_stiffness()
-    inv_sqrt_m = 1.0 / np.sqrt(m)
-    s = k * inv_sqrt_m[None, :] * inv_sqrt_m[:, None]
-    s = 0.5 * (s + s.T)
-    try:
-        eigvals, eigvecs = np.linalg.eigh(s)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(
-            f"eigen solver failed on the {_N}-node chain: {exc}") from exc
-    modes = inv_sqrt_m[:, None] * eigvecs[:, :N_MODES]
-    # unit infinity-norm, first non-zero entry positive
-    scale = np.max(np.abs(modes), axis=0)
-    modes = modes / scale
-    for i in range(N_MODES):
-        col = modes[:, i]
-        lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
-        if lead < 0:
-            modes[:, i] = -col
-    pulsations = np.sqrt(np.clip(eigvals[:N_MODES], 0.0, None))
     for a in (modes, pulsations, m):
         a.setflags(write=False)
     return ModalBasis(modes=modes, pulsations=pulsations, mass=m)

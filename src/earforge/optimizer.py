@@ -68,6 +68,12 @@ def _f(l: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", l, l)
 
 
+def _model_values(points: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """model_matrix(points) @ coef, each row's bits as if it were alone: `@`
+    takes BLAS gemv for one row and gemm for more, whose last bits differ."""
+    return np.einsum("ij,jk->ik", model_matrix(points), coef)
+
+
 def _derivatives(tensors, points: np.ndarray,
                  l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient 2 sum_i L_i J_i and Hessian 2 sum_i (J_i J_i^T + 2 L_i Q_i)
@@ -178,7 +184,8 @@ def minimize(spec: ObjectiveSpec) -> Optimum:
     broken toward the lexicographically smallest coordinates. The grid and its
     model matrix are built at the first call and reused by later ones. Every
     model value (grid, line search, `predicted`) is a model matrix times the
-    stacked coefficients.
+    stacked coefficients; a line-search candidate's values have the same bits
+    whichever other starts are still live.
     """
     coef = np.column_stack([m.coefficients for m in spec.models])
     tensors = _tensor_form(coef)
@@ -215,7 +222,7 @@ def minimize(spec: ObjectiveSpec) -> Optimum:
         full_step = True
         while True:
             cand = _to_box(xa + t[:, None] * d)
-            lc = model_matrix(cand) @ coef
+            lc = _model_values(cand, coef)
             fc = _f(lc)
             if not np.isfinite(fc).all():
                 bad = searching & ~np.isfinite(fc)

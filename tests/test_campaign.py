@@ -1138,16 +1138,14 @@ class TestReports:
         err = _refused_after_edit(tmp_path / "camp", capsys, "report", nudge)
         assert f"verification.{key} must be within 1e-12 mm of " in err
 
-    def test_reports_where_blas_kernels_differ(self, tmp_path):
+    def test_reports_where_blas_kernels_differ(self, tmp_path, emulated_machines):
         # Verified here, then reported in a process whose numpy and OpenBLAS
         # dispatch to AVX2 kernels only, as on another machine. On a machine
         # with AVX-512 the re-derived lambdas then differ from the stored ones
         # in their last bits, far inside the 1e-12 mm tolerance.
         d = tmp_path / "camp"
         run_pipeline(d, "init", "design", "simulate", "fit", "optimize", "verify")
-        env = dict(os.environ, PYTHONPATH=str(SRC),
-                   NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR",
-                   OPENBLAS_CORETYPE="Haswell")
+        env = dict(os.environ, PYTHONPATH=str(SRC), **emulated_machines["E1"])
         proc = subprocess.run(
             [sys.executable, "-m", "earforge.cli", "--campaign", str(d), "report"],
             env=env, capture_output=True, text=True)

@@ -1,6 +1,13 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from earforge import modal
 from earforge.errors import ValidationError
 from earforge.geometry import THETA, ContourProfile, deviation_vector
 from earforge.modal import (ModalCoordinates, analytic_mode,
@@ -38,11 +45,20 @@ class TestBasisConstruction:
                 if i != j:
                     assert abs(gram[i, j]) <= 1e-9 * norms[i] * norms[j]
 
-    def test_modes_match_analytic_cosines(self, basis36):
+    def test_modes_match_analytic_cosines(self, basis36, chain_eigensolve):
+        # the basis is the analytic cosines, and they are the chain's
+        # eigenvectors: the eigen-solve reproduces them to roundoff
         for k in range(1, 6):
-            err = np.max(np.abs(basis36.modes[:, k - 1] - analytic_mode(k)))
+            assert np.array_equal(basis36.modes[:, k - 1], analytic_mode(k))
+            err = np.max(np.abs(basis36.modes[:, k - 1]
+                                - chain_eigensolve.modes[:, k - 1]))
             assert err <= 0.02
             assert err <= 1e-12  # the lumped chain reproduces them exactly
+
+    def test_pulsations_match_the_eigen_solve(self, basis36, chain_eigensolve):
+        ref = chain_eigensolve.pulsations
+        assert basis36.pulsations[0] == 0.0
+        assert np.allclose(basis36.pulsations[1:], ref[1:], rtol=1e-12, atol=0)
 
     def test_basis_is_solved_once(self, basis36):
         # every call returns the one shared five-mode basis, whose arrays
@@ -57,6 +73,25 @@ class TestBasisConstruction:
         for args, kwargs in (((5,), {}), ((20,), {}), ((), {"n_modes": 5})):
             with pytest.raises(TypeError):
                 build_modal_basis(*args, **kwargs)
+
+    def test_mode_table_is_the_same_on_every_machine(self, basis36,
+                                                     emulated_machines):
+        # the closed form calls no BLAS and no eigen-solver, so a process
+        # whose numpy and OpenBLAS take other kernels builds the same bits
+        script = ("import hashlib\n"
+                  "from earforge.modal import build_modal_basis\n"
+                  "b = build_modal_basis()\n"
+                  "for a in (b.modes, b.pulsations):\n"
+                  "    print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+        native = [hashlib.sha256(a.tobytes()).hexdigest()
+                  for a in (basis36.modes, basis36.pulsations)]
+        src = str(Path(modal.__file__).parents[1])
+        for name, settings in emulated_machines.items():
+            env = dict(os.environ, PYTHONPATH=src, **settings)
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == native, name
 
     def test_shared_basis_is_read_only(self, basis36):
         for array in (basis36.modes, basis36.pulsations, basis36.mass):

@@ -12,8 +12,8 @@ from earforge import optimizer
 from earforge.doe import to_physical
 from earforge.errors import NumericError, ValidationError
 from earforge.optimizer import (_SEED_BEST, ObjectiveSpec, _basin_seeds,
-                                _derivatives, _f, _search_grid, grid_oracle,
-                                minimize)
+                                _derivatives, _f, _model_values, _search_grid,
+                                grid_oracle, minimize)
 from earforge.rsm import QuadraticModel, _tensor_form, model_matrix
 
 
@@ -304,6 +304,20 @@ class TestSearchGrid:
 
 
 class TestMinimize:
+    def test_polish_values_do_not_depend_on_the_batch(self):
+        # the line search scores a start's candidate beside however many
+        # starts are still live: each row gets the bits it gets alone
+        rng = np.random.default_rng(51)
+        for n in range(1, 17):
+            coef = stacked_coefficients(seeded_spec(rng, 3))
+            points = rng.uniform(-1, 1, (n, 3))
+            batch = _model_values(points, coef)
+            assert np.allclose(batch, model_matrix(points) @ coef,
+                               rtol=1e-14, atol=1e-14)
+            for i in range(n):
+                alone = _model_values(points[i:i + 1], coef)
+                assert batch[i].tobytes() == alone[0].tobytes(), (n, i)
+
     def test_linear_root_inside_box(self):
         spec = ObjectiveSpec(models=(model_from_terms(**{"1": -0.3, "X1": 1.0}),))
         opt = minimize(spec)

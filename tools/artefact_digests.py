@@ -27,6 +27,22 @@ Hashed, each in a fresh temporary directory:
 The output is sorted JSON, one `"name": "sha256"` pair per line. It is not
 part of the test suite and takes a few seconds.
 
+Where the digests differ, the numbers say by how much:
+
+    python tools/artefact_digests.py --numbers > a.json   # on each side
+    python tools/artefact_digests.py --compare a.json b.json
+
+`--numbers` prints, in place of each digest, the artefact's numbers and the
+sha256 of its layout, one artefact per line. A text artefact's numbers are
+its numeric tokens after the timestamp mask (a 64-digit hex digest counts as
+text), and its layout is the text with each of them, and the spaces before
+it, replaced by `#`. A rugged digest's numbers are its optima's arrays and
+scalars in hashing order. `--compare` prints, for each artefact whose
+numbers differ, the max absolute and the max relative difference of its
+numbers, led by `layout` where its layout differs too, and `layout` alone
+where the count of its numbers differs. It prints nothing and exits 0 when
+no artefact differs, and exits 1 otherwise.
+
 Floating-point results may depend on the numpy build, the CPU features its
 kernels dispatch to and the BLAS (its version, the kernel core it picked at
 run time, its thread settings), so the script prints those facts as one
@@ -34,6 +50,7 @@ JSON line to stderr. Stdout holds the digests alone: two checkouts run on
 one machine still diff cleanly.
 """
 
+import argparse
 import contextlib
 import ctypes
 import hashlib
@@ -62,6 +79,9 @@ INPUTS = runpy.run_path(str(ROOT / "perfbench" / "inputs.py"),
 
 # a stage timestamp as campaign._now writes it, quotes included
 TIMESTAMP = re.compile(rb'"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\+00:00"')
+# a sha256 hex digest (text), or a decimal number (group 1) with the spaces
+# that pad it, whose count changes with the number's sign in a table column
+TOKEN = re.compile(rb"[0-9a-f]{64}| *([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
@@ -128,47 +148,78 @@ def run_cli_campaign(d: Path, ingest_dir: Path) -> None:
                 raise SystemExit(f"{d.name}: `{stage[0]}` exited {code}")
 
 
-def campaign_digests(name: str, d: Path) -> dict:
+def campaign_texts(name: str, d: Path) -> dict:
     out = {}
     for path in sorted(p for p in d.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == cp.STATE_FILE:
             data = TIMESTAMP.sub(b'"<timestamp>"', data)
-        out[f"{name}/{path.relative_to(d).as_posix()}"] = sha256(data)
+        out[f"{name}/{path.relative_to(d).as_posix()}"] = data
     return out
 
 
-def decompose_digest(path: Path) -> str:
+def decompose_text(path: Path) -> bytes:
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli_main(["decompose", str(path)])
-    return sha256(f"exit {code}\n{stdout.getvalue()}".encode())
+    return f"exit {code}\n{stdout.getvalue()}".encode()
 
 
-def rugged_digests() -> dict:
+def rugged_results() -> dict:
+    """Per 32 objectives of the rugged pool: each one's arrays (optimum point,
+    predicted values, oracle point) and scalars (F, starts, steps, projected
+    gradient norm, oracle F)."""
     rng = np.random.default_rng(1)
     specs = [ef.ObjectiveSpec(models=INPUTS["rugged_models"](rng, ef))
              for _ in range(256)]
     out = {}
     for first in range(0, len(specs), 32):
-        h = hashlib.sha256()
+        results = []
         for spec in specs[first:first + 32]:
             opt = ef.minimize(spec)
             point, value = ef.grid_oracle(spec, 41)
             r = opt.report
-            for data in (opt.point, opt.predicted, point):
-                h.update(np.ascontiguousarray(data, dtype=float).tobytes())
-            h.update(repr((opt.f_value, r.starts, r.iterations,
-                           r.gradient_norm, value)).encode())
-        out[f"rugged/{first:03d}-{first + 31:03d}"] = h.hexdigest()
+            results.append(((opt.point, opt.predicted, point),
+                            (opt.f_value, r.starts, r.iterations,
+                             r.gradient_norm, value)))
+        out[f"rugged/{first:03d}-{first + 31:03d}"] = results
     return out
 
 
-def main() -> None:
-    print(json.dumps({"machine": machine_facts()}, sort_keys=True),
-          file=sys.stderr)
-    digests = {}
+def rugged_digest(results: list) -> str:
+    h = hashlib.sha256()
+    for arrays, scalars in results:
+        for data in arrays:
+            h.update(np.ascontiguousarray(data, dtype=float).tobytes())
+        h.update(repr(scalars).encode())
+    return h.hexdigest()
+
+
+def text_numbers(data: bytes) -> dict:
+    numbers = []
+
+    def take(match):
+        if match[1] is None:
+            return match[0]
+        numbers.append(float(match[1]))
+        return b"#"
+
+    return {"layout": sha256(TOKEN.sub(take, data)), "numbers": numbers}
+
+
+def rugged_numbers(results: list) -> dict:
+    numbers = []
+    for arrays, scalars in results:
+        for data in arrays:
+            numbers += np.asarray(data, dtype=float).tolist()
+        numbers += [float(x) for x in scalars]
+    return {"layout": sha256(b"rugged"), "numbers": numbers}
+
+
+def collect() -> tuple[dict, dict]:
+    """The text artefacts and the rugged results, by artefact name."""
+    texts = {}
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         campaigns = [("default", None)]
@@ -177,16 +228,67 @@ def main() -> None:
         INPUTS["campaign_exports"](np.random.default_rng(9), tmp / "exports")
         for name, config in campaigns:
             run_campaign(tmp / name, config)
-            digests.update(campaign_digests(name, tmp / name))
+            texts.update(campaign_texts(name, tmp / name))
         run_cli_campaign(tmp / "ingested", tmp / "exports")
-        digests.update(campaign_digests("ingested", tmp / "ingested"))
+        texts.update(campaign_texts("ingested", tmp / "ingested"))
         rims = INPUTS["metrology_rims"](np.random.default_rng(5),
                                         tmp / "rims", 48)
         for rim in rims:
-            digests[f"decompose/{rim.path.name}"] = decompose_digest(rim.path)
-    digests.update(rugged_digests())
-    print(json.dumps(digests, indent=0, sort_keys=True))
+            texts[f"decompose/{rim.path.name}"] = decompose_text(rim.path)
+    return texts, rugged_results()
+
+
+def compare(path_a: Path, path_b: Path) -> int:
+    """Print how each artefact's numbers differ between two --numbers dumps."""
+    a, b = (json.loads(p.read_text()) for p in (path_a, path_b))
+    differ = 0
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            print(f"{name}: only in {path_a if name in a else path_b}")
+            differ += 1
+            continue
+        x, y = a[name], b[name]
+        if len(x["numbers"]) != len(y["numbers"]):
+            print(f"{name}: layout")
+            differ += 1
+            continue
+        u, v = np.array(x["numbers"], dtype=float), np.array(y["numbers"], dtype=float)
+        layout = "layout, " if x["layout"] != y["layout"] else ""
+        if not layout and u.tobytes() == v.tobytes():  # -0.0 != 0.0, as in a digest
+            continue
+        differ += 1
+        diff = np.abs(u - v)
+        scale = np.maximum(np.abs(u), np.abs(v))
+        rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+        print(f"{name}: {layout}max abs {np.max(diff, initial=0.0):.3e}, "
+              f"max rel {np.max(rel, initial=0.0):.3e}")
+    return 1 if differ else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--numbers", action="store_true",
+                      help="print each artefact's numbers and layout digest")
+    mode.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                      help="compare two --numbers dumps")
+    args = parser.parse_args()
+    if args.compare:
+        return compare(*args.compare)
+    print(json.dumps({"machine": machine_facts()}, sort_keys=True),
+          file=sys.stderr)
+    texts, rugged = collect()
+    if args.numbers:
+        out = {name: text_numbers(data) for name, data in texts.items()}
+        out.update((name, rugged_numbers(r)) for name, r in rugged.items())
+        print("{\n" + ",\n".join(f"{json.dumps(k)}: {json.dumps(out[k])}"
+                                  for k in sorted(out)) + "\n}")
+    else:
+        digests = {name: sha256(data) for name, data in texts.items()}
+        digests.update((name, rugged_digest(r)) for name, r in rugged.items())
+        print(json.dumps(digests, indent=0, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -60,11 +60,6 @@ STAGES = ("configured", "designed", "simulated", "fitted", "optimized",
           "verified")
 
 _AMPLITUDE_EPS = 1e-12
-# The modal projection goes through BLAS, whose kernels differ between
-# machines in the last bits (~1e-15 mm), so `report` holds a verified lambda
-# or residue to this absolute tolerance (mm) and every other number bit for bit.
-_PROJECTION_TOL = 1e-12
-_PROJECTED = ("optimum_lambdas", "optimum_residue", "baseline_lambdas")
 
 
 @dataclass
@@ -617,8 +612,8 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     Returns (written, skipped) where skipped pairs each missing report with
     the stage that would produce its data. Raises LifecycleError when no
     report can be produced at all, and StateIntegrityError, before writing
-    anything, when a verified number is not what the verified rims give
-    (lambdas and residue within _PROJECTION_TOL mm, the rest bit for bit).
+    anything, when a verified number is not, bit for bit, what the verified
+    rims give.
     """
     if state.stage in ("configured", "designed"):
         done = STAGES.index(state.stage)
@@ -633,15 +628,12 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
                 for rel in (v.baseline_file, v.optimum_file)]
         for key, want in _verified_numbers(*rims, cfg.target_height).items():
             got = getattr(v, key)
-            if key not in _PROJECTED:
-                if repr(got) != repr(want):  # bit for bit
-                    raise StateIntegrityError(
-                        f"verification.{key} must be {want!r} as the rim "
-                        f"files give it, got {got!r}")
-            elif not np.all(np.abs(np.subtract(got, want)) <= _PROJECTION_TOL):
+            if repr(got) != repr(want):
                 raise StateIntegrityError(
-                    f"verification.{key} must be within {_PROJECTION_TOL} mm "
-                    f"of {want!r} as the rim files give it, got {got!r}")
+                    f"verification.{key} must be {want!r} as the rim files "
+                    f"give it, got {got!r}: the state was edited, or verified "
+                    f"by an earforge from before exact metrology; re-run the "
+                    f"campaign in a fresh directory")
     out_dir = campaign_dir / REPORTS_DIR
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []

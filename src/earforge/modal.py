@@ -4,7 +4,9 @@ The quarter rim is modelled as a free-free chain of QUARTER_NODES-1 equal
 axial elements with a single degree of freedom per node. Its eigenvectors are
 the discrete cosines (Strang, SIAM Review 41, 1999), taken here in closed
 form, so the low modes read directly as size (constant), two-lobe, four-lobe,
-... defects of the full rim, with the same bits on every machine.
+... defects of the full rim. They are orthogonal under the lumped mass, so a
+coordinate is one M-weighted ratio: the rim's even cosine coefficient, read
+exactly and with the same bits on every machine.
 """
 
 from __future__ import annotations
@@ -82,25 +84,26 @@ class ModalCoordinates:
 def project(values: np.ndarray) -> ModalCoordinates:
     """Project a deviation vector onto every shape of the shared modal basis.
 
-    The coordinates are the least-squares fit of `values` on the mode set,
-    which coincides with the mode-wise vectorial projection whenever the
-    shapes are orthogonal, and reproduces any vector lying in their span
-    exactly. The residue is the relative infinity-norm of the remainder
-    (0 for a zero input vector).
+    The modes are orthogonal under the lumped mass M, the trapezoidal rule,
+    so lambda_i = Q_i^T M v / Q_i^T M Q_i, which reproduces any vector in
+    their span. The sums are elementwise products and np.add.reduce, so the
+    bits do not depend on the machine's BLAS. The residue is the relative
+    infinity-norm of the remainder, and 0 where |v|_inf <= 1e-12 mm, below
+    which it would be roundoff over roundoff.
     """
-    q = build_modal_basis().modes
+    basis = build_modal_basis()
+    q = basis.modes
     v = np.asarray(values, dtype=float)
     if v.shape != q.shape[:1]:
         raise ValidationError(f"deviation vector length {v.size} != basis "
                               f"node count {q.shape[0]}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("deviation vector entries must be finite")
-    lambdas, *_ = np.linalg.lstsq(q, v, rcond=None)
+    qm = q * basis.mass[:, None]
+    lambdas = np.add.reduce(qm * v[:, None]) / np.add.reduce(qm * q)
     norm_v = float(np.max(np.abs(v)))
-    if norm_v == 0.0:
-        residue = 0.0
-    else:
-        residue = float(np.max(np.abs(v - q @ lambdas)) / norm_v)
+    remainder = v - np.add.reduce(q * lambdas, axis=1)
+    residue = float(np.max(np.abs(remainder)) / norm_v) if norm_v > 1e-12 else 0.0
     return ModalCoordinates(lambdas=lambdas, residue=residue)
 
 

@@ -1105,6 +1105,9 @@ class TestReports:
                                   _put("verification", *keys, value=value))
         assert f"verification.{keys[0]} must be " in err
         assert "as the rim files give it, got " in err
+        assert ("the state was edited, or verified by an earforge from "
+                "before exact metrology; re-run the campaign in a fresh "
+                "directory") in err
 
     def test_untouched_campaign_reports_byte_identically(self, tmp_path):
         # the state a library run holds in memory and the state the CLI
@@ -1127,6 +1130,8 @@ class TestReports:
                                      "optimum_residue"])
     def test_projected_number_off_by_ten_tolerances_exits_2(self, tmp_path,
                                                             capsys, key):
+        # 1e-11 mm, ten times the tolerance `report` once gave the projected
+        # numbers; metrology is exact now, so they are held bit for bit
         def nudge(doc):
             v = doc["verification"]
             if key == "optimum_residue":
@@ -1136,21 +1141,27 @@ class TestReports:
             return doc
 
         err = _refused_after_edit(tmp_path / "camp", capsys, "report", nudge)
-        assert f"verification.{key} must be within 1e-12 mm of " in err
+        assert f"verification.{key} must be " in err
+        assert "as the rim files give it, got " in err
 
     def test_reports_where_blas_kernels_differ(self, tmp_path, emulated_machines):
-        # Verified here, then reported in a process whose numpy and OpenBLAS
-        # dispatch to AVX2 kernels only, as on another machine. On a machine
-        # with AVX-512 the re-derived lambdas then differ from the stored ones
-        # in their last bits, far inside the 1e-12 mm tolerance.
+        # Verified and reported here, then reported again in processes whose
+        # numpy and OpenBLAS dispatch to other kernels, as on other machines.
+        # Metrology calls no BLAS, so the re-derived lambdas and residue
+        # match the stored ones bit for bit and the reports are byte-equal.
         d = tmp_path / "camp"
-        run_pipeline(d, "init", "design", "simulate", "fit", "optimize", "verify")
-        env = dict(os.environ, PYTHONPATH=str(SRC), **emulated_machines["E1"])
-        proc = subprocess.run(
-            [sys.executable, "-m", "earforge.cli", "--campaign", str(d), "report"],
-            env=env, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert (d / "reports" / "summary.txt").exists()
+        run_pipeline(d, "init", "design", "simulate", "fit", "optimize",
+                     "verify", "report")
+        native = {p.name: p.read_bytes() for p in (d / "reports").iterdir()}
+        assert len(native) == 4
+        for name, settings in emulated_machines.items():
+            env = dict(os.environ, PYTHONPATH=str(SRC), **settings)
+            proc = subprocess.run(
+                [sys.executable, "-m", "earforge.cli", "--campaign", str(d),
+                 "report"], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, (name, proc.stderr)
+            assert {p.name: p.read_bytes()
+                    for p in (d / "reports").iterdir()} == native, name
 
     def test_report_is_deterministic(self, full_campaign):
         run = lambda: cli_main(["--campaign", str(full_campaign), "report"])

@@ -8,7 +8,10 @@ from earforge.errors import InvalidBlankError, ValidationError
 from earforge.geometry import (THETA, BlankSpec, ContourProfile, CupSpec,
                                blank_contour, deviation_vector,
                                ear_amplitude, initial_blank_diameter,
-                               quarter_nodes, read_rim_csv, write_contour_csv)
+                               read_rim_csv, write_contour_csv)
+
+# the 36 quarter nodes the deviation vector is read at, over [0, pi/2]
+QUARTER = (np.pi / 2.0) * np.arange(36) / 35
 
 
 def cosine_profile(mean=35.0, amplitudes=()):
@@ -137,19 +140,39 @@ class TestDeviationVector:
         dev = deviation_vector(cosine_profile(mean=34.0), 35.0)
         assert np.allclose(dev, -1.0, rtol=0, atol=1e-12)
 
-    def test_exact_decimation_on_matching_grid(self):
-        # the quarter's ends, nodes 0 and 35, are samples 0 and 36 of the
-        # grid, so their heights are taken as they are
+    def test_quarter_ends_are_orbit_means(self):
+        # nodes 0 and 35 are grid angles 0 and pi/2; the symmetric part
+        # there averages each mirror orbit: {0, pi} and {pi/2, 3*pi/2}
         rng = np.random.default_rng(12)
         profile = ContourProfile(rng.uniform(30, 40, 144))
-        assert quarter_nodes()[[0, 35]].tolist() == THETA[[0, 36]].tolist()
+        assert QUARTER[[0, 35]].tolist() == THETA[[0, 36]].tolist()
+        h = profile.height
         dev = deviation_vector(profile, 35.0)
-        assert dev[[0, 35]].tolist() == (profile.height[[0, 36]] - 35.0).tolist()
+        assert dev[0] == pytest.approx((h[0] + h[72]) / 2 - 35.0, abs=1e-13)
+        assert dev[35] == pytest.approx((h[36] + h[108]) / 2 - 35.0, abs=1e-13)
 
-    def test_linear_interpolation_on_default_grid(self):
+    def test_even_cosine_reads_exactly_on_default_grid(self):
         profile = cosine_profile(amplitudes=[(4, 1.0)])
         dev = deviation_vector(profile, 35.0)
-        assert np.allclose(dev, np.cos(4 * quarter_nodes()), rtol=0, atol=5e-3)
+        assert np.allclose(dev, np.cos(4 * QUARTER), rtol=0, atol=1e-13)
+
+    def test_asymmetric_part_reads_zero(self):
+        # sine and odd cosine harmonics break a mirror symmetry: no deviation
+        for k in (1, 2, 3, 4, 5, 8):
+            for wave in (np.sin(k * THETA), np.cos((2 * k - 1) * THETA)):
+                dev = deviation_vector(ContourProfile(35.0 + wave), 35.0)
+                assert np.max(np.abs(dev)) <= 1e-13, k
+
+    def test_is_the_even_cosine_part_of_the_interpolant(self):
+        # the table is the even cosine part of the rim's DFT, at the nodes
+        rng = np.random.default_rng(21)
+        h = rng.uniform(30, 40, 144)
+        a = np.fft.rfft(h).real / 72.0
+        oracle = h.mean() + sum(
+            (a[2 * m] / (2.0 if m == 36 else 1.0)) * np.cos(2 * m * QUARTER)
+            for m in range(1, 37))
+        dev = deviation_vector(ContourProfile(h), 35.0)
+        assert np.allclose(dev, oracle - 35.0, rtol=0, atol=1e-12)
 
     def test_constant_profile_entries_equal(self):
         dev = deviation_vector(cosine_profile(mean=37.25), 35.0)

@@ -15,10 +15,11 @@ from earforge.modal import (ModalCoordinates, analytic_mode,
                             lumped_mass_diagonal, project)
 
 
-def normal_equations_fit(q, v):
-    """Independent oracle: solve the normal equations of the dense fit."""
-    gram = q.T @ q
-    return np.linalg.solve(gram, q.T @ v)
+def normal_equations_fit(q, m, v):
+    """Independent oracle: solve the M-weighted normal equations
+    (Q^T M Q) lambda = Q^T M v of the dense fit."""
+    gram = q.T @ (m[:, None] * q)
+    return np.linalg.solve(gram, q.T @ (m * v))
 
 
 class TestBasisConstruction:
@@ -146,7 +147,7 @@ class TestProjection:
         for _ in range(25):
             v = rng.uniform(-1, 1, 36)
             coords = project(v)
-            oracle = normal_equations_fit(basis36.modes, v)
+            oracle = normal_equations_fit(basis36.modes, basis36.mass, v)
             assert np.allclose(coords.lambdas, oracle, rtol=0, atol=1e-9)
 
     def test_linearity(self):
@@ -230,3 +231,70 @@ class TestDecompose:
     def test_target_height_validated(self):
         with pytest.raises(ValidationError):
             decompose(ContourProfile(np.full(144, 35.0)), 0.0)
+
+    def test_rim_reads_as_its_even_cosine_coefficients(self):
+        # lambda_k is the rim's cos(2(k-1)θ) coefficient, read exactly
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            a = rng.uniform(-1, 1, 5)
+            height = 35.0 + sum(a[k] * np.cos(2 * k * THETA) for k in range(5))
+            coords = decompose(ContourProfile(height), 35.0)
+            assert np.allclose(coords.lambdas, a, rtol=0, atol=1e-13)
+            assert coords.residue <= 1e-13
+
+    def test_higher_even_harmonic_leaks_into_no_mode(self):
+        coords = decompose(ContourProfile(35.0 + np.cos(10 * THETA)), 35.0)
+        assert np.max(np.abs(coords.lambdas)) <= 1e-15
+        assert coords.residue == pytest.approx(1.0, abs=1e-12)
+
+    def test_turned_ear_reads_its_symmetric_part(self):
+        # a 0.86 mm four-lobe ear turned 10 degrees: its cos(4θ) part is
+        # 0.86*cos(40°), its sin(4θ) part reads in no mode
+        turn = np.radians(10.0)
+        coords = decompose(
+            ContourProfile(35.0 + 0.86 * np.cos(4 * (THETA - turn))), 35.0)
+        expected = [0.0, 0.0, 0.86 * np.cos(4 * turn), 0.0, 0.0]
+        assert np.allclose(coords.lambdas, expected, rtol=0, atol=1e-14)
+        assert coords.residue <= 1e-13
+
+    def test_residue_floor_on_an_asymmetric_rim(self):
+        # a 1 mm sin(2θ) rim has no symmetric part: its deviation vector is
+        # roundoff, below the 1e-12 mm floor, so the residue is 0, not
+        # roundoff over roundoff
+        profile = ContourProfile(35.0 + np.sin(2 * THETA))
+        assert np.max(np.abs(deviation_vector(profile, 35.0))) <= 1e-12
+        coords = decompose(profile, 35.0)
+        assert np.max(np.abs(coords.lambdas)) <= 1e-15
+        assert coords.residue == 0.0
+
+    def test_same_output_on_every_machine(self, tmp_path, emulated_machines):
+        # seeded polar rims, unevenly sampled, tilted and asymmetric: the
+        # `decompose` output of a process whose numpy and OpenBLAS take
+        # other kernels is byte-equal to the native one
+        rng = np.random.default_rng(41)
+        files = []
+        for i in range(8):
+            n = int(rng.integers(60, 400))
+            theta = np.sort(rng.uniform(0, 2 * np.pi, n))
+            theta[0] = 0.0
+            height = 35.0 + sum(rng.uniform(-1, 1) * np.cos(k * theta
+                                                          + rng.uniform(0, 0.3))
+                                for k in range(11))
+            path = tmp_path / f"rim_{i}.csv"
+            path.write_text("theta_rad,value_mm\n" + "".join(
+                f"{t!r},{h!r}\n" for t, h in zip(theta.tolist(), height.tolist())))
+            files.append(str(path))
+        script = ("import sys\nfrom earforge.cli import cli_main\n"
+                  "for f in sys.argv[1:]:\n"
+                  "    assert cli_main(['decompose', f]) == 0\n")
+        src = str(Path(modal.__file__).parents[1])
+        outputs = {}
+        for name, settings in {"native": {}, **emulated_machines}.items():
+            env = dict(os.environ, PYTHONPATH=src, **settings)
+            done = subprocess.run([sys.executable, "-c", script, *files],
+                                  env=env, capture_output=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+            outputs[name] = done.stdout
+        assert outputs["native"].count(b"residue,") == len(files)
+        for name in emulated_machines:
+            assert outputs[name] == outputs["native"], name

@@ -8,7 +8,7 @@ from earforge.doe import Factor, FactorSpace
 from earforge.errors import (AmbiguousProfileError, InsufficientDataError,
                              InvalidBlankError, ValidationError)
 from earforge.geometry import (THETA, BlankSpec, ContourProfile,
-                               deviation_vector, ear_amplitude, quarter_nodes,
+                               deviation_vector, ear_amplitude,
                                read_rim_csv, write_contour_csv)
 from earforge.modal import (analytic_mode, decompose,
                             project)
@@ -283,15 +283,12 @@ class TestRunDesign:
         assert table.names == ("L1", "L2", "L3", "L4", "L5")
 
     def test_center_run_four_lobe_coordinate(self, simulated):
-        # oracle: least-squares coefficient of the interpolated cos(4θ)
-        # quarter shape on the analytic cosine set, scaled by the rim gain
+        # oracle: the centre blank is circular, so the rim's cos(4θ)
+        # coefficient is the ear term alone, read exactly by the modes
         cfg = simulated.config
-        modes = np.column_stack([analytic_mode(k) for k in range(1, 6)])
-        shape = np.interp(quarter_nodes(), THETA, np.cos(4 * THETA))
-        transmission = np.linalg.lstsq(modes, shape, rcond=None)[0][2]
-        oracle = cfg.surrogate.c_ear * cfg.material.delta_r * transmission
-        assert oracle == pytest.approx(0.8578951525155493, abs=1e-12)
-        assert center_lambdas(simulated)[2] == pytest.approx(oracle, abs=5e-4)
+        oracle = cfg.surrogate.c_ear * cfg.material.delta_r
+        assert oracle == pytest.approx(0.859872, abs=1e-12)
+        assert center_lambdas(simulated)[2] == pytest.approx(oracle, abs=1e-9)
 
     def test_two_lobe_response_is_affine_in_a1(self, default_space):
         params = SurrogateParams()

@@ -540,8 +540,7 @@ def response_table(state: CampaignState) -> ResponseTable:
 def fit_campaign(state: CampaignState, campaign_dir) -> CampaignState:
     """Fit one quadratic surface per modal coordinate; writes models.json."""
     _require_stage(state, "simulated", "fit")
-    state.models = fit_quadratic(state.design, response_table(state),
-                                 factor_names=state.config.space.names)
+    state.models = fit_quadratic(response_table(state), state.config.space)
     _write_json(Path(campaign_dir) / MODELS_FILE, _models_to_dict(state.models))
     return _complete(state, campaign_dir, "fitted")
 
@@ -640,7 +639,7 @@ def report_campaign(state: CampaignState, campaign_dir) -> tuple[list, list]:
     skipped: list[tuple[str, str]] = []
 
     def emit(name: str, text: str) -> None:
-        (out_dir / name).write_text(text, encoding="utf-8")
+        (out_dir / name).write_text(text, encoding="utf-8", newline="\n")
         written.append(f"{REPORTS_DIR}/{name}")
 
     center = state.runs[state.design.roles.index(ROLE_CENTER)]

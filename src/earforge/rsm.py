@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .doe import DesignMatrix
-from .errors import ValidationError
+from .doe import FactorSpace, ccd_design
+from .errors import NumericError, ValidationError
 
 
 # Row and column of each interaction term x_i x_j, i < j, in term order:
@@ -63,10 +63,6 @@ class ResponseTable:
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "names", tuple(self.names))
 
-    @property
-    def n_points(self) -> int:
-        return self.values.shape[0]
-
 
 @dataclass(frozen=True)
 class QuadraticModel:
@@ -95,29 +91,43 @@ class QuadraticModel:
         return term_names(self.factor_names)
 
 
-def fit_quadratic(design: DesignMatrix, responses: ResponseTable,
-                  factor_names) -> list[QuadraticModel]:
-    """Ordinary least squares of every response on the quadratic model.
+def fit_quadratic(responses: ResponseTable,
+                  space: FactorSpace) -> list[QuadraticModel]:
+    """Least squares of every response on the quadratic model over the CCD
+    of `space`, in closed form (Box & Hunter 1957).
 
-    Solved with an orthogonal-factorization least-squares routine in
-    normalized factor units; deterministic. Raises ValidationError when the
-    model matrix is rank deficient.
+    The CCD's moment matrix is block diagonal: Σxᵢ² = s = 8 + 2α² for each
+    linear column, Σ(xᵢxⱼ)² = 8 for each interaction, and the intercept and
+    squares solve through a 2×2 system with det = 6(3α⁴ − 16α² + 28) > 0.
+    Coefficients and residuals are fixed-order sums (no BLAS or LAPACK), so
+    they have the same bits on every machine. Raises NumericError where they
+    overflow (α ≳ 5e76).
     """
-    if responses.n_points != design.n_points:
-        raise ValidationError(
-            f"{responses.n_points} response rows for {design.n_points} design points")
-    a = model_matrix(design.points)
-    coefs, _, rank, _ = np.linalg.lstsq(a, responses.values, rcond=None)
-    if rank < a.shape[1]:
-        raise ValidationError(
-            f"design is rank deficient (rank {rank} < {a.shape[1]} terms)")
-    residuals = responses.values - a @ coefs
+    y = responses.values
+    alpha2 = space.alpha * space.alpha  # not **, which raises on large floats
+    alpha4 = alpha2 * alpha2
+    s, d = 8.0 + 2.0 * alpha2, 24.0 + 2.0 * alpha4
+    det = 15.0 * d - 3.0 * s * s
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = model_matrix(ccd_design(space).points)
+        if len(y) != len(a):
+            raise ValidationError(
+                f"{len(y)} response rows for the design's {len(a)} runs")
+        t = np.add.reduce(a[:, :, None] * y[:, None, :], axis=0)  # Aᵀy
+        q_sum = t[7] + t[8] + t[9]
+        b_sum = (15.0 * q_sum - 3.0 * s * t[0]) / det
+        coefs = np.concatenate([
+            [(d * t[0] - s * q_sum) / det], t[1:4] / s, t[4:7] / 8.0,
+            (t[7:] - q_sum / 3.0) / (2.0 * alpha4) + b_sum / 3.0])
+        residuals = y - np.add.reduce(a[:, :, None] * coefs, axis=1)
+    if not (np.isfinite(det) and np.all(np.isfinite(coefs))):
+        raise NumericError(f"the CCD fit overflows at alpha = {space.alpha!r}")
     models = []
     for j, name in enumerate(responses.names):
         r = residuals[:, j]
         models.append(QuadraticModel(
             response=name,
-            factor_names=tuple(factor_names),
+            factor_names=space.names,
             coefficients=coefs[:, j],
             residual_rms=float(np.sqrt(np.mean(r * r))),
             max_abs_residual=float(np.max(np.abs(r))),

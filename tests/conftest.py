@@ -108,10 +108,9 @@ def chain_eigensolve():
 
 
 @pytest.fixture(scope="session")
-def reference_models(default_space, default_design, reference_runs):
+def reference_models(default_space, reference_runs):
     """Quadratic surfaces fitted to the reference campaign responses."""
     _, responses, _ = reference_runs
     table = ResponseTable(names=("L1", "L2", "L3", "L4", "L5"),
                           values=responses)
-    return tuple(fit_quadratic(default_design, table,
-                               factor_names=default_space.names))
+    return tuple(fit_quadratic(table, default_space))

@@ -240,7 +240,7 @@ def test_criterion_7_oracle_equivalence():
     assert not failures, "; ".join(failures)
 
 
-def test_criterion_8_exact_recovery(default_design, basis36):
+def test_criterion_8_exact_recovery(default_space, default_design, basis36):
     """Regression recovers in-space quadratics; span vectors project exactly."""
     rng = np.random.default_rng(2025)
     worst_coef = 0.0
@@ -248,7 +248,7 @@ def test_criterion_8_exact_recovery(default_design, basis36):
     for _ in range(10):
         truth = rng.normal(0, 2, 10)
         table = ResponseTable(names=("Y",), values=(a @ truth)[:, None])
-        model, = fit_quadratic(default_design, table, ("D", "A1", "A2"))
+        model, = fit_quadratic(table, default_space)
         worst_coef = max(worst_coef,
                          float(np.max(np.abs(model.coefficients - truth))))
     worst_residue = 0.0

@@ -1171,6 +1171,65 @@ class TestReports:
         assert (full_campaign / "reports" / "overlay_polar.svg").read_bytes() == first
 
 
+def run_in_child(campaign_dir, settings, *stages):
+    """Run the CLI stages in one process with `settings` in its environment."""
+    script = ("import sys\nfrom earforge.cli import cli_main\n"
+              "for stage in sys.argv[2:]:\n"
+              "    if cli_main(['--campaign', sys.argv[1], stage]):\n"
+              "        sys.exit(f'stage {stage} failed')\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC), **settings)
+    done = subprocess.run([sys.executable, "-c", script, str(campaign_dir),
+                           *stages], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+class TestAcrossMachines:
+    """A default surrogate campaign run natively and in processes whose numpy
+    and OpenBLAS dispatch to other kernels, as on other machines."""
+
+    def test_fitted_campaign_is_byte_equal(self, tmp_path, emulated_machines):
+        # metrology and the fit are fixed-order sums without BLAS, so
+        # through `fitted` the state and the models have the same bytes
+        stages = ("init", "design", "simulate", "fit")
+
+        def written(d):
+            state = re.sub(rb'"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"',
+                           b'"<timestamp>"', (d / "campaign.json").read_bytes())
+            return state, (d / "models.json").read_bytes()
+
+        run_pipeline(tmp_path / "native", *stages)
+        native = written(tmp_path / "native")
+        assert native[0].count(b'"<timestamp>"') == len(stages)
+        for name, settings in emulated_machines.items():
+            run_in_child(tmp_path / name, settings, *stages)
+            assert written(tmp_path / name) == native, name
+
+    def test_optimum_agrees_within_the_stated_tolerance(self, tmp_path,
+                                                        emulated_machines):
+        # README: the optimum's point, physical and predicted agree within
+        # 1e-12 mm and F within 1e-12 relative; the report may differ
+        stages = ("init", "design", "simulate", "fit", "optimize")
+
+        def optimum(d):
+            return json.loads((d / "optimum.json").read_text())
+
+        run_pipeline(tmp_path / "native", *stages)
+        native = optimum(tmp_path / "native")
+        for name, settings in emulated_machines.items():
+            run_in_child(tmp_path / name, settings, *stages)
+            got = optimum(tmp_path / name)
+            assert got.keys() == native.keys(), name
+            for key in ("point", "physical", "predicted"):
+                want, have = native[key], got[key]
+                if isinstance(want, dict):
+                    assert have.keys() == want.keys(), (name, key)
+                    want, have = list(want.values()), [have[k] for k in want]
+                assert np.max(np.abs(np.subtract(have, want))) <= 1e-12, (name, key)
+            assert (abs(got["f_value"] - native["f_value"])
+                    <= 1e-12 * abs(native["f_value"])), name
+
+
 class TestLocking:
     def test_stale_lock_blocks_commands(self, tmp_path, capsys):
         d = tmp_path / "camp"

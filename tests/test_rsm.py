@@ -1,13 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from earforge.doe import DesignMatrix
-from earforge.errors import ValidationError
+from earforge.doe import FactorSpace, ccd_design
+from earforge.errors import NumericError, ValidationError
 from earforge.rsm import (QuadraticModel, ResponseTable, fit_quadratic,
                           model_matrix, term_names)
-
-
-FACTORS = ("D", "A1", "A2")
 
 
 def evaluate(model, points):
@@ -19,6 +18,28 @@ def normal_equations_fit(points, y):
     """Independent oracle: explicit normal-equations solve of the 10-term fit."""
     a = model_matrix(points)
     return np.linalg.solve(a.T @ a, a.T @ y)
+
+
+def exact_fit(points, y):
+    """Exact oracle: the least-squares coefficients of the 10-term fit,
+    eliminated over the rationals from the points' and responses' exact
+    binary values, then rounded once."""
+    rows = [[Fraction(1), *map(Fraction, p)] for p in points.tolist()]
+    rows = [r + [r[1] * r[2], r[1] * r[3], r[2] * r[3], r[1] ** 2, r[2] ** 2,
+                 r[3] ** 2] for r in rows]
+    ys = [Fraction(v) for v in y.tolist()]
+    n = len(rows[0])
+    # normal equations [AᵀA | Aᵀy], reduced by Gauss-Jordan elimination
+    m = [[sum(r[i] * r[j] for r in rows) for j in range(n)]
+         + [sum(r[i] * v for r, v in zip(rows, ys))] for i in range(n)]
+    for c in range(n):
+        pivot = next(i for i in range(c, n) if m[i][c] != 0)
+        m[c], m[pivot] = m[pivot], m[c]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return np.array([float(m[i][n] / m[i][i]) for i in range(n)])
 
 
 def model_matrix_reference(points, names):
@@ -44,18 +65,18 @@ def make_table(values, names=None):
 
 
 class TestFitQuadratic:
-    def test_exact_recovery_of_in_space_data(self, default_design):
+    def test_exact_recovery_of_in_space_data(self, default_space,
+                                             default_design):
         x = default_design.points
         y = 1.0 + 2.0 * x[:, 0] - 3.0 * x[:, 2] ** 2
-        model, = fit_quadratic(default_design, make_table(y), FACTORS)
+        model, = fit_quadratic(make_table(y), default_space)
         expected = np.zeros(10)
         expected[0], expected[1], expected[9] = 1.0, 2.0, -3.0
         assert np.max(np.abs(model.coefficients - expected)) <= 1e-8
         assert model.max_abs_residual <= 1e-8
 
-    def test_constant_response(self, default_design):
-        model, = fit_quadratic(default_design, make_table(np.full(15, 4.2)),
-                               FACTORS)
+    def test_constant_response(self, default_space):
+        model, = fit_quadratic(make_table(np.full(15, 4.2)), default_space)
         assert model.coefficients[0] == pytest.approx(4.2, abs=1e-10)
         assert np.max(np.abs(model.coefficients[1:])) <= 1e-10
 
@@ -80,46 +101,54 @@ class TestFitQuadratic:
             assert model.residual_rms == pytest.approx(
                 np.sqrt(np.mean(r * r)), abs=1e-12)
 
-    def test_point_order_permutation_invariance(self, default_design,
-                                                reference_runs):
-        _, responses, _ = reference_runs
-        rng = np.random.default_rng(31)
-        perm = rng.permutation(15)
-        shuffled = DesignMatrix(points=default_design.points[perm],
-                                roles=tuple(default_design.roles[i] for i in perm))
-        base, = fit_quadratic(default_design, make_table(responses[:, 0]),
-                              FACTORS)
-        permuted, = fit_quadratic(shuffled, make_table(responses[perm, 0]),
-                                  FACTORS)
-        assert np.allclose(base.coefficients, permuted.coefficients,
-                           rtol=0, atol=1e-12)
-
     def test_refit_on_own_predictions_is_identity(self, reference_models,
+                                                  default_space,
                                                   default_design):
         model = reference_models[2]
         y = evaluate(model, default_design.points)
-        refit, = fit_quadratic(default_design, make_table(y), FACTORS)
+        refit, = fit_quadratic(make_table(y), default_space)
         assert np.allclose(refit.coefficients, model.coefficients,
                            rtol=0, atol=1e-10)
 
-    def test_singular_design_is_refused(self, default_design):
-        pts = default_design.points.copy()
-        pts[:, 2] = pts[:, 1]  # A2 duplicates A1
-        degenerate = DesignMatrix(points=pts, roles=default_design.roles)
-        y = make_table(np.arange(15.0))
-        with pytest.raises(ValidationError, match="rank deficient"):
-            fit_quadratic(degenerate, y, FACTORS)
+    @pytest.mark.parametrize("alpha", [1.0, 1.287, 1.6, 2 ** 0.75])
+    def test_matches_normal_equations_on_seeded_tables(self, default_space,
+                                                       alpha):
+        space = FactorSpace(default_space.factors, alpha)
+        points = ccd_design(space).points
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for _ in range(200):
+            y = rng.normal(0, 1, (15, 5))
+            got = [m.coefficients for m in fit_quadratic(make_table(y), space)]
+            want = normal_equations_fit(points, y)
+            worst = max(worst, float(np.max(np.abs(np.transpose(got) - want))
+                                     / np.max(np.abs(want))))
+        assert worst <= 1e-12
 
-    def test_too_few_points(self, default_design):
-        small = DesignMatrix(points=default_design.points[:9],
-                             roles=default_design.roles[:9])
-        with pytest.raises(ValidationError):
-            fit_quadratic(small, make_table(np.arange(9.0)), FACTORS)
+    @pytest.mark.parametrize("alpha", [1.287, 1e4, 1e7, 1e50])
+    def test_matches_exact_least_squares(self, default_space, alpha):
+        # the CCD's model matrix has condition ~alpha^2, so a factorization
+        # loses digits as alpha grows; the closed form stays at roundoff
+        space = FactorSpace(default_space.factors, alpha)
+        points = ccd_design(space).points
+        rng = np.random.default_rng(34)
+        for _ in range(3):
+            y = rng.normal(0, 1, 15)
+            model, = fit_quadratic(make_table(y), space)
+            want = exact_fit(points, y)
+            assert (np.max(np.abs(model.coefficients - want))
+                    <= 1e-12 * np.max(np.abs(want)))
 
-    def test_response_row_count_mismatch(self, default_design):
-        with pytest.raises(ValidationError):
-            fit_quadratic(default_design, make_table(np.arange(14.0)),
-                          FACTORS)
+    def test_overflowing_alpha_is_refused(self, default_space):
+        space = FactorSpace(default_space.factors, 1e160)
+        with pytest.raises(NumericError, match=r"overflows at alpha = 1e\+160$"):
+            fit_quadratic(make_table(np.arange(15.0)), space)
+
+    @pytest.mark.parametrize("rows", [9, 14, 16])
+    def test_response_row_count_mismatch(self, default_space, rows):
+        with pytest.raises(ValidationError,
+                           match=f"^{rows} response rows for the design's 15 runs$"):
+            fit_quadratic(make_table(np.arange(float(rows))), default_space)
 
 
 class TestPredict:
